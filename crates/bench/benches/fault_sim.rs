@@ -1,7 +1,8 @@
 //! Fault-simulation engine throughput: serial vs parallel coverage
-//! evaluation, full-replay vs early-exit detection, full vs sliced
-//! differential replay over a shared compiled trace, and sliced vs
-//! lane-packed batch simulation of the batchable fault classes.
+//! evaluation under the full-replay oracle and the packed engine,
+//! full-replay vs early-exit detection, the single-fault path against a
+//! full replay over a shared compiled trace, and lane-packed batch
+//! simulation of the batchable fault classes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mbist_march::{
@@ -18,10 +19,8 @@ fn bench_coverage_parallelism(c: &mut Criterion) {
 
     let modes = [
         ("jobs1_full", Some(1), SimEngine::Full),
-        ("jobs1_sliced", Some(1), SimEngine::Sliced),
         ("jobs1_packed", Some(1), SimEngine::Packed),
         ("jobs_auto_full", None, SimEngine::Full),
-        ("jobs_auto_sliced", None, SimEngine::Sliced),
         ("jobs_auto_packed", None, SimEngine::Packed),
     ];
     for (label, jobs, engine) in modes {
@@ -38,26 +37,24 @@ fn bench_coverage_parallelism(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sliced_trace(c: &mut Criterion) {
+fn bench_single_fault(c: &mut Criterion) {
     let g = MemGeometry::bit_oriented(256);
     let test = library::march_c();
     let steps = expand(&test, &g);
     let spec = UniverseSpec::default();
     // A coupling fault exercises the widest sliced support set (two words
     // plus sensitization checks); the victim sits mid-array so neither
-    // engine exits unrealistically early.
+    // path exits unrealistically early.
     let fault =
         class_universe(&g, FaultClass::CouplingInversion, &spec)[g.words() as usize / 2];
 
-    let mut group = c.benchmark_group("sliced_256x1");
+    let mut group = c.benchmark_group("single_fault_256x1");
     group.sample_size(10);
     group.bench_function("compile_trace_march_c", |b| {
         b.iter(|| black_box(CompiledTrace::from_steps(g, &steps)))
     });
     let trace = CompiledTrace::from_steps(g, &steps);
-    group.bench_function("detect_sliced_coupling", |b| {
-        b.iter(|| black_box(trace.detect_sliced(fault)))
-    });
+    group.bench_function("detect_coupling", |b| b.iter(|| black_box(trace.detect(fault))));
     group.bench_function("detect_full_coupling", |b| {
         let mut scratch = MemoryArray::new(g);
         b.iter(|| black_box(trace.detect_full(fault, &mut scratch)))
@@ -71,8 +68,7 @@ fn bench_packed_batches(c: &mut Criterion) {
     let steps = expand(&test, &g);
     let spec = UniverseSpec::default();
     let trace = CompiledTrace::from_steps(g, &steps);
-    // The five classes the packed engine vectorizes — the head-to-head
-    // against sliced on exactly the faults the u64 lanes cover.
+    // Five of the classes the packed engine vectorizes.
     let batchable = [
         FaultClass::StuckAt,
         FaultClass::Transition,
@@ -87,13 +83,9 @@ fn bench_packed_batches(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("packed_256x1");
     group.sample_size(10);
-    for (label, engine) in
-        [("sliced_batchable", SimEngine::Sliced), ("packed_batchable", SimEngine::Packed)]
-    {
-        group.bench_function(format!("march_c_{label}"), |b| {
-            b.iter(|| black_box(trace.detect_universe(&universe, Some(1), engine)))
-        });
-    }
+    group.bench_function("march_c_packed_batchable", |b| {
+        b.iter(|| black_box(trace.detect_universe(&universe, Some(1), SimEngine::Packed)))
+    });
     group.finish();
 }
 
@@ -132,7 +124,7 @@ fn bench_detect_early_exit(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_coverage_parallelism,
-    bench_sliced_trace,
+    bench_single_fault,
     bench_packed_batches,
     bench_detect_early_exit
 );

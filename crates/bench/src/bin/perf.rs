@@ -1,42 +1,27 @@
 //! Std-only coverage-engine performance harness.
 //!
-//! Measures fault simulation in eight modes on the same sampled fault
+//! Measures fault simulation in three modes on the same sampled fault
 //! universes:
 //!
-//! - `seed_replay`: the original algorithm — the [`legacy`] reference
-//!   simulator (per-bit cell stores, per-write `Vec<bool>` snapshots,
-//!   linear fault scans) replaying the entire stream and collecting every
-//!   miscompare;
-//! - `engine_full`: the rewritten indexed/bitmask array, still replaying
-//!   the full stream per fault;
-//! - `detect_jobs1`: the engine with early exit at the first miscompare,
-//!   forced serial (`jobs = 1`), full replay per fault;
-//! - `sliced`: the sliced differential engine over one shared compiled
-//!   trace, forced serial;
+//! - `detect_jobs1`: the full-replay oracle, early exit at the first
+//!   miscompare, forced serial (`jobs = 1`);
 //! - `packed`: the lane-packed bit-parallel engine (256 congruent faults
-//!   per `[u64; 4]` lane-block batch, sliced fallback for the decoder
-//!   classes), forced serial;
-//! - `parallel_auto`: full replay with the host's available parallelism;
-//! - `sliced_parallel`: the sliced engine with the host's parallelism;
-//! - `packed_parallel`: the packed engine with the host's parallelism.
+//!   per `[u64; 4]` lane-block batch, per-fault sliced replay for the
+//!   decoder class), forced serial;
+//! - `packed_parallel`: the packed engine with the host's available
+//!   parallelism.
 //!
-//! Every mode that runs must agree on the detection count; each
-//! `(test, geometry)` pair prints an `agreement OK` line that CI greps
-//! for. `--modes a,b,...` restricts which modes run — speedup ratios
-//! whose baseline didn't run are reported as skipped, never fabricated.
-//! When both `sliced` and `packed` run, the harness also times the two
-//! engines head-to-head on the batchable fault subset (exactly the faults
-//! the packed engine routes to lanes) of the largest march-c run — the
-//! `packed_vs_sliced_batchable` acceptance ratio. Each geometry also gets
-//! a `{class → packed|sliced|full}` routing breakdown with a
+//! Every mode must agree on the detection count; each `(test, geometry)`
+//! pair prints an `agreement OK` line that CI greps for. Each geometry also
+//! gets a `{class → packed|sliced|full}` routing breakdown with a
 //! batchable-faults ratio and a `routing OK` sanity line (per-class counts
 //! summing to the sampled total) that CI greps for.
 //!
 //! Emits `BENCH_coverage.json` (test × geometry × wall-ns × faults/sec,
 //! min and median over the sample count) and prints a human summary with
-//! the speedups vs the seed path and vs `detect_jobs1`. `--quick`
-//! shrinks the workload for smoke runs; `--out PATH` overrides the JSON
-//! path.
+//! the speedups vs `detect_jobs1` and vs the pinned seed-simulator figure.
+//! `--quick` shrinks the workload for smoke runs; `--out PATH` overrides
+//! the JSON path.
 //!
 //! No external crates: timing via `std::time::Instant`, JSON by hand.
 
@@ -45,412 +30,27 @@ use std::time::Instant;
 use std::{env, fs, thread};
 
 use mbist_march::{
-    evaluate_coverage, expand_with, fault_route, library, routing_breakdown, run_steps,
-    CompiledTrace, CoverageOptions, ExpandOptions, FaultRoute, MarchTest, SimEngine,
+    evaluate_coverage, library, routing_breakdown, CoverageOptions, MarchTest, SimEngine,
 };
-use mbist_mem::{
-    class_universe_sampled, FaultClass, FaultKind, MemGeometry, MemoryArray, UniverseSpec,
-};
-
-/// The fault simulator exactly as the workspace seed implemented it,
-/// preserved as the performance baseline. Semantically equivalent to
-/// [`mbist_mem::MemoryArray`] (the regression suite proves the rewrite kept
-/// behavior); the difference is purely mechanical: per-bit stores behind
-/// `Vec<bool>` old/new snapshots, and a linear scan of the fault list on
-/// every store and every observed bit.
-mod legacy {
-    use mbist_mem::{CellId, FaultKind, MemGeometry, PortId, TestStep};
-    use mbist_rtl::Bits;
-
-    #[derive(Default, Clone)]
-    struct FaultState {
-        consecutive_reads: u8,
-        last_write_ns: f64,
-    }
-
-    #[derive(Clone)]
-    struct FaultEntry {
-        kind: FaultKind,
-        state: FaultState,
-    }
-
-    #[derive(Default, Clone)]
-    struct SenseLatch {
-        value: u64,
-        valid: bool,
-    }
-
-    pub struct LegacyArray {
-        geometry: MemGeometry,
-        words: Vec<u64>,
-        faults: Vec<FaultEntry>,
-        sense: Vec<SenseLatch>,
-        now_ns: f64,
-    }
-
-    #[derive(Clone, Copy)]
-    enum Effect {
-        Invert,
-        Force(bool),
-    }
-
-    impl LegacyArray {
-        pub fn with_fault(geometry: MemGeometry, fault: FaultKind) -> Self {
-            let mut mem = Self {
-                geometry,
-                words: vec![0; usize::try_from(geometry.words()).expect("fits")],
-                faults: Vec::new(),
-                sense: vec![SenseLatch::default(); usize::from(geometry.ports())],
-                now_ns: 0.0,
-            };
-            if let FaultKind::StuckAt { cell, value } = fault {
-                mem.set_raw(cell, value);
-            }
-            mem.faults.push(FaultEntry { kind: fault, state: FaultState::default() });
-            mem
-        }
-
-        pub fn pause(&mut self, ns: f64) {
-            self.now_ns += ns;
-        }
-
-        pub fn write(&mut self, _port: PortId, addr: u64, data: Bits) {
-            self.now_ns += 10.0;
-            let (targets, _) = self.resolve(addr);
-            for word in targets {
-                self.write_word(word, data);
-            }
-        }
-
-        fn write_word(&mut self, word: u64, data: Bits) {
-            let width = self.geometry.width();
-            let mut old = vec![false; usize::from(width)];
-            let mut new = vec![false; usize::from(width)];
-            for bit in 0..width {
-                let cell = CellId::new(word, bit);
-                old[usize::from(bit)] = self.raw_bit(cell);
-                self.store_cell_base(cell, data.bit(bit));
-                new[usize::from(bit)] = self.raw_bit(cell);
-            }
-            let mut effects: Vec<(CellId, Effect)> = Vec::new();
-            for bit in 0..width {
-                let (o, n) = (old[usize::from(bit)], new[usize::from(bit)]);
-                if o == n {
-                    continue;
-                }
-                let rising = n;
-                let aggressor = CellId::new(word, bit);
-                for f in &self.faults {
-                    match f.kind {
-                        FaultKind::CouplingInversion {
-                            aggressor: a,
-                            victim,
-                            rising: r,
-                        } if a == aggressor
-                            && r == rising
-                            && self.victim_sensitized(victim, word, &old, &new) =>
-                        {
-                            effects.push((victim, Effect::Invert));
-                        }
-                        FaultKind::CouplingIdempotent {
-                            aggressor: a,
-                            victim,
-                            rising: r,
-                            forced,
-                        } if a == aggressor
-                            && r == rising
-                            && self.victim_sensitized(victim, word, &old, &new) =>
-                        {
-                            effects.push((victim, Effect::Force(forced)));
-                        }
-                        FaultKind::NpsfActive { base, trigger, rising: r, others }
-                            if trigger == aggressor
-                                && r == rising
-                                && others.iter().all(|(c, v)| self.raw_bit(*c) == *v)
-                                && self.victim_sensitized(base, word, &old, &new) =>
-                        {
-                            effects.push((base, Effect::Invert));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            for (victim, effect) in effects {
-                let v = match effect {
-                    Effect::Invert => !self.raw_bit(victim),
-                    Effect::Force(b) => b,
-                };
-                self.store_victim(victim, v);
-            }
-        }
-
-        fn victim_sensitized(
-            &self,
-            victim: CellId,
-            word: u64,
-            old: &[bool],
-            new: &[bool],
-        ) -> bool {
-            if victim.word != word {
-                return true;
-            }
-            let i = usize::from(victim.bit);
-            old[i] == new[i]
-        }
-
-        pub fn read(&mut self, port: PortId, addr: u64) -> Bits {
-            self.now_ns += 10.0;
-            let (targets, wired_and) = self.resolve(addr);
-            let width = self.geometry.width();
-            let mut combined: Option<u64> = None;
-            for word in targets {
-                let mut v = 0u64;
-                for bit in 0..width {
-                    if self.observed_bit(port, CellId::new(word, bit)) {
-                        v |= 1 << bit;
-                    }
-                }
-                combined = Some(match combined {
-                    None => v,
-                    Some(prev) => {
-                        if wired_and {
-                            prev & v
-                        } else {
-                            prev | v
-                        }
-                    }
-                });
-            }
-            let value = combined.expect("at least one word");
-            let latch = &mut self.sense[usize::from(port.0)];
-            latch.value = value;
-            latch.valid = true;
-            Bits::new(width, value)
-        }
-
-        fn resolve(&self, addr: u64) -> (Vec<u64>, bool) {
-            let mut a = addr;
-            for f in &self.faults {
-                if let FaultKind::AddressMap { from, to } = f.kind {
-                    if from == a {
-                        a = to;
-                        break;
-                    }
-                }
-            }
-            let mut out = vec![a];
-            let mut wired_and = true;
-            for f in &self.faults {
-                if let FaultKind::AddressMulti { addr: m, extra, wired_and: wa } = f.kind {
-                    if m == a {
-                        out.push(extra);
-                        wired_and = wa;
-                    }
-                }
-            }
-            (out, wired_and)
-        }
-
-        fn raw_bit(&self, cell: CellId) -> bool {
-            (self.words[cell.word as usize] >> cell.bit) & 1 == 1
-        }
-
-        fn set_raw(&mut self, cell: CellId, value: bool) {
-            let w = &mut self.words[cell.word as usize];
-            if value {
-                *w |= 1 << cell.bit;
-            } else {
-                *w &= !(1 << cell.bit);
-            }
-        }
-
-        fn store_cell_base(&mut self, cell: CellId, new: bool) {
-            if self
-                .faults
-                .iter()
-                .any(|f| matches!(f.kind, FaultKind::StuckOpen { cell: c } if c == cell))
-            {
-                return;
-            }
-            let old = self.raw_bit(cell);
-            let mut val = new;
-            for f in &self.faults {
-                if let FaultKind::Transition { cell: c, rising } = f.kind {
-                    if c == cell {
-                        if rising && !old && new {
-                            val = false;
-                        }
-                        if !rising && old && !new {
-                            val = true;
-                        }
-                    }
-                }
-            }
-            for f in &self.faults {
-                if let FaultKind::StuckAt { cell: c, value } = f.kind {
-                    if c == cell {
-                        val = value;
-                    }
-                }
-            }
-            self.set_raw(cell, val);
-            self.touch_written(cell);
-        }
-
-        fn store_victim(&mut self, cell: CellId, value: bool) {
-            let mut val = value;
-            for f in &self.faults {
-                if let FaultKind::StuckAt { cell: c, value: v } = f.kind {
-                    if c == cell {
-                        val = v;
-                    }
-                }
-            }
-            self.set_raw(cell, val);
-            self.touch_written(cell);
-        }
-
-        fn touch_written(&mut self, cell: CellId) {
-            let now = self.now_ns;
-            for f in &mut self.faults {
-                match f.kind {
-                    FaultKind::Retention { cell: c, .. } if c == cell => {
-                        f.state.last_write_ns = now;
-                    }
-                    FaultKind::PullOpen { cell: c, .. } if c == cell => {
-                        f.state.consecutive_reads = 0;
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        fn observed_bit(&mut self, port: PortId, cell: CellId) -> bool {
-            if self
-                .faults
-                .iter()
-                .any(|f| matches!(f.kind, FaultKind::StuckOpen { cell: c } if c == cell))
-            {
-                let latch = &self.sense[usize::from(port.0)];
-                return latch.valid && (latch.value >> cell.bit) & 1 == 1;
-            }
-            let now = self.now_ns;
-            let mut decay: Option<bool> = None;
-            for f in &mut self.faults {
-                if let FaultKind::Retention { cell: c, decays_to, retention_ns } = f.kind {
-                    if c == cell && now - f.state.last_write_ns > retention_ns {
-                        decay = Some(decays_to);
-                    }
-                }
-            }
-            if let Some(v) = decay {
-                self.store_victim(cell, v);
-            }
-            let mut v = self.raw_bit(cell);
-            let mut drained: Option<bool> = None;
-            for f in &mut self.faults {
-                if let FaultKind::PullOpen { cell: c, good_reads, decays_to } = f.kind {
-                    if c == cell {
-                        f.state.consecutive_reads =
-                            f.state.consecutive_reads.saturating_add(1);
-                        if f.state.consecutive_reads > good_reads {
-                            drained = Some(decays_to);
-                        }
-                    }
-                }
-            }
-            if let Some(d) = drained {
-                v = d;
-                self.store_victim(cell, d);
-            }
-            let mut masked: Option<bool> = None;
-            for f in &self.faults {
-                if let FaultKind::CouplingState { aggressor, victim, when, forced } = f.kind
-                {
-                    if victim == cell && self.raw_bit(aggressor) == when {
-                        masked = Some(forced);
-                    }
-                }
-            }
-            if let Some(m) = masked {
-                v = m;
-            }
-            let mut npsf: Option<bool> = None;
-            for f in &self.faults {
-                if let FaultKind::NpsfStatic { base, neighborhood, forced } = f.kind {
-                    if base == cell
-                        && neighborhood.iter().all(|(c, val)| self.raw_bit(*c) == *val)
-                    {
-                        npsf = Some(forced);
-                    }
-                }
-            }
-            if let Some(m) = npsf {
-                v = m;
-            }
-            for f in &self.faults {
-                if let FaultKind::StuckAt { cell: c, value } = f.kind {
-                    if c == cell {
-                        v = value;
-                    }
-                }
-            }
-            v
-        }
-    }
-
-    /// The seed's full-report replay: every checked read is compared and
-    /// every miscompare collected, exactly like the original `run_steps`.
-    pub fn run_steps_collect(mem: &mut LegacyArray, steps: &[TestStep]) -> bool {
-        let mut miscompares: Vec<(PortId, u64)> = Vec::new();
-        for step in steps {
-            match step {
-                TestStep::Pause { ns } => mem.pause(*ns),
-                TestStep::Bus(cycle) => match cycle.op {
-                    mbist_mem::Operation::Write(data) => {
-                        mem.write(cycle.port, cycle.addr, data);
-                    }
-                    mbist_mem::Operation::Read => {
-                        let observed = mem.read(cycle.port, cycle.addr);
-                        if let Some(expected) = cycle.expected {
-                            if observed != expected {
-                                miscompares.push((cycle.port, cycle.addr));
-                            }
-                        }
-                    }
-                },
-            }
-        }
-        !miscompares.is_empty()
-    }
-}
+use mbist_mem::{class_universe_sampled, FaultClass, MemGeometry, UniverseSpec};
 
 const MAX_FAULTS_PER_CLASS: usize = 512;
 
-/// Mode names in canonical run order (slowest baseline first).
-const MODE_NAMES: [&str; 8] = [
-    "seed_replay",
-    "engine_full",
-    "detect_jobs1",
-    "sliced",
-    "packed",
-    "parallel_auto",
-    "sliced_parallel",
-    "packed_parallel",
+/// The workspace seed's fault simulator (per-bit cell stores, per-write
+/// snapshots, linear fault scans, full-stream replay collecting every
+/// miscompare) on March C 1024×1 over the same sampled universe: best of
+/// six samples on a 2-core x86-64 container, measured before the
+/// simulator was retired from this harness. The denominator of the
+/// `*_vs_seed` ratios, which are reported for that configuration only.
+const SEED_FAULTS_PER_SEC: f64 = 1288.0;
+const SEED_WORDS: u64 = 1024;
+
+/// Mode name, worker count and engine, in run order (slowest first).
+const MODES: [(&str, Option<usize>, SimEngine); 3] = [
+    ("detect_jobs1", Some(1), SimEngine::Full),
+    ("packed", Some(1), SimEngine::Packed),
+    ("packed_parallel", None, SimEngine::Packed),
 ];
-
-/// The sampled faults the packed engine routes to its lane batches — the
-/// subset the head-to-head acceptance ratio is timed on. Computed from the
-/// engine's actual per-fault routing decision, not a hard-coded class
-/// list, so it tracks whatever the lanes currently vectorize.
-fn batchable_subset(geometry: &MemGeometry) -> Vec<FaultKind> {
-    sampled_universe(geometry)
-        .into_iter()
-        .filter(|&f| fault_route(SimEngine::Packed, f) == FaultRoute::Packed)
-        .collect()
-}
-
-type Mode<'a> = (&'static str, Box<dyn FnMut() -> usize + 'a>);
 
 struct Entry {
     test: String,
@@ -473,50 +73,25 @@ impl Entry {
     }
 }
 
-/// The acceptance universe: every fault class, stride-capped per class the
-/// same way `evaluate_coverage` caps it.
-fn sampled_universe(geometry: &MemGeometry) -> Vec<FaultKind> {
-    sampled_classes(geometry, &FaultClass::ALL)
-}
-
-/// Stride-capped universe restricted to `classes` — the same index set as
-/// the engine's sampler, via the shared sampled generator.
-fn sampled_classes(geometry: &MemGeometry, classes: &[FaultClass]) -> Vec<FaultKind> {
+/// Size of the acceptance universe: every fault class, stride-capped per
+/// class the same way `evaluate_coverage` caps it.
+fn sampled_universe_len(geometry: &MemGeometry) -> usize {
     let spec = UniverseSpec::default();
-    let mut faults = Vec::new();
-    for &class in classes.iter() {
-        faults.extend(class_universe_sampled(geometry, class, &spec, MAX_FAULTS_PER_CLASS));
-    }
-    faults
+    FaultClass::ALL
+        .iter()
+        .map(|&class| {
+            class_universe_sampled(geometry, class, &spec, MAX_FAULTS_PER_CLASS).len()
+        })
+        .sum()
 }
 
-/// The true pre-optimization baseline: the seed's array and full-report
-/// replay, via the [`legacy`] reference simulator.
-fn run_seed_replay(test: &MarchTest, geometry: &MemGeometry) -> usize {
-    let steps = expand_with(test, geometry, &ExpandOptions::for_geometry(geometry));
-    let mut detected = 0;
-    for fault in sampled_universe(geometry) {
-        let mut mem = legacy::LegacyArray::with_fault(*geometry, fault);
-        if legacy::run_steps_collect(&mut mem, &steps) {
-            detected += 1;
-        }
+fn options(jobs: Option<usize>, engine: SimEngine) -> CoverageOptions {
+    CoverageOptions {
+        max_faults_per_class: Some(MAX_FAULTS_PER_CLASS),
+        jobs,
+        engine,
+        ..CoverageOptions::default()
     }
-    detected
-}
-
-/// The rewritten array, but still replaying the whole stream per fault —
-/// isolates the indexed/bitmask array speedup from the early-exit speedup.
-fn run_full_replay(test: &MarchTest, geometry: &MemGeometry) -> usize {
-    let steps = expand_with(test, geometry, &ExpandOptions::for_geometry(geometry));
-    let mut detected = 0;
-    for fault in sampled_universe(geometry) {
-        let mut mem =
-            MemoryArray::with_fault(*geometry, fault).expect("universe fits geometry");
-        if !run_steps(&mut mem, &steps).passed() {
-            detected += 1;
-        }
-    }
-    detected
 }
 
 fn run_engine(
@@ -525,16 +100,7 @@ fn run_engine(
     jobs: Option<usize>,
     engine: SimEngine,
 ) -> usize {
-    let report = evaluate_coverage(
-        test,
-        geometry,
-        &CoverageOptions {
-            max_faults_per_class: Some(MAX_FAULTS_PER_CLASS),
-            jobs,
-            engine,
-            ..CoverageOptions::default()
-        },
-    );
+    let report = evaluate_coverage(test, geometry, &options(jobs, engine));
     report.rows.iter().map(|r| r.detected).sum()
 }
 
@@ -561,22 +127,15 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-/// Speedup of `denominator_mode` over `numerator_mode` (wall-time ratio),
-/// `None` when either mode wasn't measured for the acceptance entry.
-fn ratio(baseline: Option<&Entry>, candidate: Option<&Entry>) -> Option<f64> {
-    Some(baseline?.wall_ns as f64 / candidate?.wall_ns.max(1) as f64)
-}
-
-/// The first recorded entry for `mode` (used by the dedicated batchable-
-/// subset measurement, which records exactly one entry per engine).
-fn pick_entry<'a>(entries: &'a [Entry], mode: &str) -> Option<&'a Entry> {
-    entries.iter().find(|e| e.mode == mode)
+/// Wall-time ratio of `baseline` over `candidate`.
+fn ratio(baseline: &Entry, candidate: &Entry) -> f64 {
+    baseline.wall_ns as f64 / candidate.wall_ns.max(1) as f64
 }
 
 fn format_ratio(name: &str, r: Option<f64>) -> String {
     match r {
         Some(r) => format!("{name} {r:.1}x"),
-        None => format!("{name} skipped (baseline mode not run)"),
+        None => format!("{name} skipped (no baseline for this geometry)"),
     }
 }
 
@@ -588,29 +147,11 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_coverage.json".to_string());
-    let selected: Vec<&str> = match args.iter().position(|a| a == "--modes") {
-        Some(i) => {
-            let list = args.get(i + 1).expect("--modes takes a comma-separated list");
-            let picked: Vec<&str> = MODE_NAMES
-                .iter()
-                .copied()
-                .filter(|m| list.split(',').any(|s| s == *m))
-                .collect();
-            for s in list.split(',') {
-                assert!(
-                    MODE_NAMES.contains(&s),
-                    "unknown mode `{s}` (choose from {MODE_NAMES:?})"
-                );
-            }
-            picked
-        }
-        None => MODE_NAMES.to_vec(),
-    };
 
     let geometries: Vec<MemGeometry> = if quick {
         vec![MemGeometry::bit_oriented(64)]
     } else {
-        vec![MemGeometry::bit_oriented(256), MemGeometry::bit_oriented(1024)]
+        vec![MemGeometry::bit_oriented(256), MemGeometry::bit_oriented(SEED_WORDS)]
     };
     let tests = [library::mats_plus(), library::march_c()];
     let samples = if quick { 1 } else { 3 };
@@ -624,14 +165,10 @@ fn main() {
 
     let mut entries: Vec<Entry> = Vec::new();
     for g in &geometries {
-        let faults = sampled_universe(g).len();
-        // Per-class engine routing for this geometry's sampled universe —
-        // the whole-run/subset gap made observable. The breakdown must
-        // account for every sampled fault exactly once.
-        let routing = routing_breakdown(
-            g,
-            &CoverageOptions { engine: SimEngine::Packed, ..CoverageOptions::default() },
-        );
+        let faults = sampled_universe_len(g);
+        // Per-class engine routing for this geometry's sampled universe;
+        // the breakdown must account for every sampled fault exactly once.
+        let routing = routing_breakdown(g, &options(None, SimEngine::Packed));
         assert_eq!(
             routing.total(),
             faults,
@@ -649,23 +186,10 @@ fn main() {
         }
         println!("{g}: routing OK ({} routed = {faults} sampled)", routing.total());
         for t in &tests {
-            let modes: [Mode<'_>; 8] = [
-                ("seed_replay", Box::new(|| run_seed_replay(t, g))),
-                ("engine_full", Box::new(|| run_full_replay(t, g))),
-                ("detect_jobs1", Box::new(|| run_engine(t, g, Some(1), SimEngine::Full))),
-                ("sliced", Box::new(|| run_engine(t, g, Some(1), SimEngine::Sliced))),
-                ("packed", Box::new(|| run_engine(t, g, Some(1), SimEngine::Packed))),
-                ("parallel_auto", Box::new(|| run_engine(t, g, None, SimEngine::Full))),
-                ("sliced_parallel", Box::new(|| run_engine(t, g, None, SimEngine::Sliced))),
-                ("packed_parallel", Box::new(|| run_engine(t, g, None, SimEngine::Packed))),
-            ];
             let mut detected: Option<usize> = None;
-            let mut modes_run = 0usize;
-            for (mode, mut f) in modes {
-                if !selected.contains(&mode) {
-                    continue;
-                }
-                let (wall_ns, median_ns, result) = time_stats(samples, &mut f);
+            for (mode, jobs, engine) in MODES {
+                let (wall_ns, median_ns, result) =
+                    time_stats(samples, || run_engine(t, g, jobs, engine));
                 match detected {
                     None => detected = Some(result),
                     Some(d) => assert_eq!(
@@ -675,7 +199,6 @@ fn main() {
                         t.name()
                     ),
                 }
-                modes_run += 1;
                 let e = Entry {
                     test: t.name().to_string(),
                     geometry: *g,
@@ -698,139 +221,53 @@ fn main() {
             }
             if let Some(d) = detected {
                 println!(
-                    "{} {g}: agreement OK ({modes_run} modes, {d} detected)",
-                    t.name()
+                    "{} {g}: agreement OK ({} modes, {d} detected)",
+                    t.name(),
+                    MODES.len()
                 );
             }
         }
     }
 
-    // Speedups on the largest march-c run (the acceptance configuration).
-    // Ratios whose baseline mode didn't run are skipped, not fabricated.
+    // Speedups on the largest march-c run (the acceptance configuration);
+    // the seed ratios only exist where the seed figure was measured.
     let pick = |mode: &str| {
         entries
             .iter()
             .filter(|e| e.test == "march-c" && e.mode == mode)
             .max_by_key(|e| e.geometry.words())
+            .expect("every mode runs march-c")
     };
-    let seed = pick("seed_replay");
-    let engine_full = pick("engine_full");
     let detect = pick("detect_jobs1");
-    let sliced = pick("sliced");
     let packed = pick("packed");
-    let parallel = pick("parallel_auto");
-    let sliced_parallel = pick("sliced_parallel");
     let packed_parallel = pick("packed_parallel");
-    let array_vs_seed = ratio(seed, engine_full);
-    let detect_vs_seed = ratio(seed, detect);
-    let sliced_vs_seed = ratio(seed, sliced);
-    let sliced_vs_detect = ratio(detect, sliced);
-    let packed_vs_seed = ratio(seed, packed);
-    let packed_vs_sliced = ratio(sliced, packed);
-    let parallel_vs_seed = ratio(seed, parallel);
-    let sliced_parallel_vs_detect = ratio(detect, sliced_parallel);
-    let packed_parallel_vs_detect = ratio(detect, packed_parallel);
-    let packed_parallel_vs_sliced_parallel = ratio(sliced_parallel, packed_parallel);
-    if let Some(g) = [seed, detect, sliced, packed].iter().flatten().next() {
-        println!();
-        println!(
-            "march-c on {}: {}, {}, {}, {}, {}, {}, {}, {}, {}, {} (host parallelism {host})",
-            g.geometry,
-            format_ratio("array_vs_seed", array_vs_seed),
-            format_ratio("detect_vs_seed", detect_vs_seed),
-            format_ratio("sliced_vs_seed", sliced_vs_seed),
-            format_ratio("sliced_vs_detect", sliced_vs_detect),
-            format_ratio("packed_vs_seed", packed_vs_seed),
-            format_ratio("packed_vs_sliced", packed_vs_sliced),
-            format_ratio("parallel_vs_seed", parallel_vs_seed),
-            format_ratio("sliced_parallel_vs_detect", sliced_parallel_vs_detect),
-            format_ratio("packed_parallel_vs_detect", packed_parallel_vs_detect),
-            format_ratio(
-                "packed_parallel_vs_sliced_parallel",
-                packed_parallel_vs_sliced_parallel
-            ),
-        );
-    }
-
-    // The acceptance measurement: sliced vs packed head-to-head on the
-    // batchable fault subset of march-c at the largest geometry, single
-    // worker — the whole-universe `packed` mode above dilutes the lane win
-    // with the sliced fallback classes, so the vectorization claim is
-    // timed on exactly the faults the lanes cover. Only measured when both
-    // engines were selected; otherwise the ratio is skipped, not made up.
-    let mut packed_vs_sliced_batchable = None;
-    if selected.contains(&"sliced") && selected.contains(&"packed") {
-        let g = *geometries.iter().max_by_key(|g| g.words()).expect("geometries");
-        let t = library::march_c();
-        let steps = expand_with(&t, &g, &ExpandOptions::for_geometry(&g));
-        let trace = CompiledTrace::from_steps(g, &steps);
-        let universe = batchable_subset(&g);
-        assert_eq!(
-            trace.detect_universe(&universe, Some(1), SimEngine::Sliced),
-            trace.detect_universe(&universe, Some(1), SimEngine::Packed),
-            "march-c {g}: engines disagree on the batchable subset"
-        );
-        println!();
-        for (mode, engine) in [
-            ("sliced_batchable", SimEngine::Sliced),
-            ("packed_batchable", SimEngine::Packed),
-        ] {
-            let (wall_ns, median_ns, detected) = time_stats(samples, || {
-                trace
-                    .detect_universe(&universe, Some(1), engine)
-                    .iter()
-                    .filter(|&&d| d)
-                    .count()
-            });
-            let e = Entry {
-                test: "march-c".to_string(),
-                geometry: g,
-                mode,
-                faults: universe.len(),
-                wall_ns,
-                median_ns,
-            };
-            println!(
-                "{:<10} {:<10} {:<15} {:>8} {:>11.3} ms {:>11.3} ms {:>12.0}",
-                e.test,
-                e.geometry.to_string(),
-                e.mode,
-                e.faults,
-                e.wall_ns as f64 / 1e6,
-                e.median_ns as f64 / 1e6,
-                e.faults_per_sec()
-            );
-            let _ = detected;
-            entries.push(e);
-        }
-        packed_vs_sliced_batchable = ratio(
-            pick_entry(&entries, "sliced_batchable"),
-            pick_entry(&entries, "packed_batchable"),
-        );
-        println!(
-            "march-c {g} batchable subset: {}",
-            format_ratio("packed_vs_sliced_batchable", packed_vs_sliced_batchable)
-        );
-    }
+    let vs_seed = |e: &Entry| {
+        (e.geometry.words() == SEED_WORDS).then(|| e.faults_per_sec() / SEED_FAULTS_PER_SEC)
+    };
+    let ratios = [
+        ("detect_vs_seed", vs_seed(detect)),
+        ("packed_vs_seed", vs_seed(packed)),
+        ("packed_vs_detect", Some(ratio(detect, packed))),
+        ("packed_parallel_vs_detect", Some(ratio(detect, packed_parallel))),
+        ("packed_parallel_vs_packed", Some(ratio(packed, packed_parallel))),
+    ];
+    println!();
+    println!(
+        "march-c on {}: {} (host parallelism {host})",
+        detect.geometry,
+        ratios
+            .iter()
+            .map(|&(name, r)| format_ratio(name, r))
+            .collect::<Vec<_>>()
+            .join(", ")
+    );
 
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"host_parallelism\": {host},");
     let _ = writeln!(json, "  \"samples\": {samples},");
     let _ = writeln!(json, "  \"max_faults_per_class\": {MAX_FAULTS_PER_CLASS},");
-    let ratios = [
-        ("array_vs_seed", array_vs_seed),
-        ("detect_vs_seed", detect_vs_seed),
-        ("sliced_vs_seed", sliced_vs_seed),
-        ("sliced_vs_detect", sliced_vs_detect),
-        ("packed_vs_seed", packed_vs_seed),
-        ("packed_vs_sliced", packed_vs_sliced),
-        ("packed_vs_sliced_batchable", packed_vs_sliced_batchable),
-        ("parallel_vs_seed", parallel_vs_seed),
-        ("sliced_parallel_vs_detect", sliced_parallel_vs_detect),
-        ("packed_parallel_vs_detect", packed_parallel_vs_detect),
-        ("packed_parallel_vs_sliced_parallel", packed_parallel_vs_sliced_parallel),
-    ];
+    let _ = writeln!(json, "  \"seed_faults_per_sec\": {SEED_FAULTS_PER_SEC:.1},");
     let speedups: Vec<String> = ratios
         .iter()
         .filter_map(|(name, r)| r.map(|r| format!("\"{name}\": {r:.3}")))
@@ -838,10 +275,7 @@ fn main() {
     let _ = writeln!(json, "  \"speedup\": {{ {} }},", speedups.join(", "));
     {
         let g = *geometries.iter().max_by_key(|g| g.words()).expect("geometries");
-        let routing = routing_breakdown(
-            &g,
-            &CoverageOptions { engine: SimEngine::Packed, ..CoverageOptions::default() },
-        );
+        let routing = routing_breakdown(&g, &options(None, SimEngine::Packed));
         let classes: Vec<String> = routing
             .rows
             .iter()
@@ -861,7 +295,10 @@ fn main() {
         };
         let _ = writeln!(
             json,
-            "  \"routing\": {{ \"geometry\": \"{g}\", \"engine\": \"packed\",              \"batchable\": {}, \"total\": {}, \"batchable_ratio\": {ratio_field},              \"classes\": {{ {} }} }},",
+            "  \"routing\": {{ \"geometry\": \"{g}\", \"engine\": \"{}\", \
+             \"batchable\": {}, \"total\": {}, \"batchable_ratio\": {ratio_field}, \
+             \"classes\": {{ {} }} }},",
+            routing.engine,
             routing.batchable(),
             routing.total(),
             classes.join(", ")

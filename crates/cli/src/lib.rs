@@ -182,15 +182,16 @@ commands:
       [--cycle-budget C]              fails; A: microcode|progfsm)
   coverage <algorithm> --words N      per-fault-class coverage (serial fault sim)
       [--max-faults K] [--jobs J]     J worker threads (0 or absent = auto);
-      [--engine full|sliced|packed]   the report is identical for every J and
-                                      engine (sliced = default; packed batches
-                                      64 faults per replay into u64 lanes)
+      [--engine full|packed]          the report is identical for every J and
+                                      engine (packed = default: batches 256
+                                      faults per replay into [u64; 4] lanes;
+                                      full = one replay per fault, the oracle)
   area [--table 1|2|3]                regenerate the paper's tables
   rtl <algorithm> [--capacity Z]      emit Verilog for the microcode BIST unit
       [--words N] [--width W]
   synth --classes C1,C2,..            synthesize a minimal march test for a
       [--max-elements N] [--jobs J]   fault mix (saf tf af cfin cfid cfst)
-      [--engine full|sliced|packed]
+      [--engine full|packed]
   synth-search --universe C1,C2,..    search for a minimal march test hitting a
       [--target-coverage PCT]         target coverage of the fault universe
       [--strategy evolve|compose]     (classes: saf tf af cfin cfid cfst sof
@@ -253,17 +254,14 @@ fn jobs_from(args: &[&str]) -> Result<Option<usize>, CliError> {
     Ok(if n == 0 { None } else { Some(n) })
 }
 
-/// `--engine full|sliced|packed` → fault-simulation engine (sliced
-/// differential replay by default; the output is identical for every
-/// choice — `packed` batches up to 64 compatible faults into `u64` lanes
-/// per trace replay).
+/// `--engine full|packed` → fault-simulation engine (packed by default:
+/// up to 256 compatible faults per trace replay in `[u64; 4]` lanes; the
+/// output is identical for every choice).
 fn engine_from(args: &[&str]) -> Result<SimEngine, CliError> {
     match flag_value(args, "--engine") {
         None => Ok(SimEngine::default()),
-        Some("full") => Ok(SimEngine::Full),
-        Some("sliced") => Ok(SimEngine::Sliced),
-        Some("packed") => Ok(SimEngine::Packed),
-        Some(other) => Err(err(format!("unknown --engine `{other}` (full|sliced|packed)"))),
+        Some(name) => SimEngine::parse_name(name)
+            .ok_or_else(|| err(format!("unknown --engine `{name}` (full|packed)"))),
     }
 }
 
@@ -657,10 +655,7 @@ fn cmd_synth_search(args: &[&str]) -> Result<String, CliError> {
         seed: parse_flag(args, "--seed", 1)?,
         max_elements: parse_flag(args, "--max-elements", 12)?,
         jobs: jobs_from(args)?,
-        engine: match flag_value(args, "--engine") {
-            None => SimEngine::Packed, // the search default: fastest oracle
-            Some(_) => engine_from(args)?,
-        },
+        engine: engine_from(args)?,
         strategy,
         ..SearchOptions::default()
     };
@@ -974,13 +969,19 @@ mod tests {
             args.extend(["--engine", e]);
             run_ok(&args)
         };
-        let sliced = with_engine("sliced");
-        assert_eq!(with_engine("full"), sliced);
-        assert_eq!(with_engine("packed"), sliced);
-        assert_eq!(run_ok(&base), sliced, "flag absent = sliced default");
+        let full = with_engine("full");
+        assert_eq!(with_engine("packed"), full);
+        assert_eq!(run_ok(&base), full, "flag absent = packed default");
         let e = run_err(&["coverage", "march-c", "--words", "8", "--engine", "turbo"]);
         assert!(e.to_string().contains("--engine"), "{e}");
         assert_eq!(e.exit_code(), 2);
+    }
+
+    #[test]
+    fn retired_sliced_engine_is_a_usage_error() {
+        let e = run_err(&["coverage", "march-c", "--words", "8", "--engine", "sliced"]);
+        assert_eq!(e.exit_code(), 2);
+        assert!(e.to_string().contains("full|packed"), "{e}");
     }
 
     #[test]
@@ -1066,7 +1067,7 @@ mod tests {
         let reference = with(&["--jobs", "1"]);
         assert_eq!(with(&["--jobs", "3"]), reference, "--jobs must not change output");
         assert_eq!(with(&["--engine", "packed"]), reference);
-        assert_eq!(with(&["--engine", "sliced"]), reference, "engine must not either");
+        assert_eq!(with(&["--engine", "full"]), reference, "engine must not either");
         assert_eq!(with(&[]), reference, "defaults match too");
     }
 

@@ -58,7 +58,7 @@ pub struct CoverageOptions {
     /// (1 = serial), `None` uses the host's available parallelism. The
     /// report is bit-for-bit identical for every setting.
     pub jobs: Option<usize>,
-    /// Fault-simulation engine ([`SimEngine::Sliced`] by default). The
+    /// Fault-simulation engine ([`SimEngine::Packed`] by default). The
     /// report is bit-for-bit identical for every engine.
     pub engine: SimEngine,
     /// Cooperative cancellation handle, checked between classes and once
@@ -137,12 +137,13 @@ impl fmt::Display for CoverageReport {
 /// simulation: detected iff any checked read miscompares.
 ///
 /// The step stream is expanded and compiled into a [`CompiledTrace`] once
-/// for all classes; each fault then replays only the accesses touching its
-/// support set ([`SimEngine::Sliced`], the default) or the whole stream on
-/// a per-worker scratch array ([`SimEngine::Full`]). The per-class
-/// universes fan out across worker threads ([`CoverageOptions::jobs`])
-/// with a deterministic in-order reduction, so the report depends on
-/// neither the worker count nor the engine.
+/// for all classes; faults are then simulated in 256-lane batches, one
+/// trace replay per batch ([`SimEngine::Packed`], the default), or one by
+/// one over the whole stream on a per-worker scratch array
+/// ([`SimEngine::Full`]). The per-class universes fan out across worker
+/// threads ([`CoverageOptions::jobs`]) with a deterministic in-order
+/// reduction, so the report depends on neither the worker count nor the
+/// engine.
 ///
 /// # Examples
 ///
@@ -233,22 +234,9 @@ pub fn fault_route(engine: SimEngine, fault: FaultKind) -> FaultRoute {
     let sliceable = fault.decoder_words().is_some() || fault.support().is_some();
     match engine {
         SimEngine::Full => FaultRoute::Full,
-        SimEngine::Sliced => {
-            if sliceable {
-                FaultRoute::Sliced
-            } else {
-                FaultRoute::Full
-            }
-        }
-        SimEngine::Packed => {
-            if crate::packed::batchable(fault) {
-                FaultRoute::Packed
-            } else if sliceable {
-                FaultRoute::Sliced
-            } else {
-                FaultRoute::Full
-            }
-        }
+        SimEngine::Packed if crate::packed::lane_packable(fault) => FaultRoute::Packed,
+        SimEngine::Packed if sliceable => FaultRoute::Sliced,
+        SimEngine::Packed => FaultRoute::Full,
     }
 }
 
@@ -405,7 +393,7 @@ mod tests {
     #[test]
     fn routing_breakdown_counts_every_sampled_fault() {
         let g = MemGeometry::bit_oriented(64);
-        for engine in [SimEngine::Full, SimEngine::Sliced, SimEngine::Packed] {
+        for engine in SimEngine::ALL {
             let options = CoverageOptions { engine, ..CoverageOptions::default() };
             let b = routing_breakdown(&g, &options);
             let mut total = 0;
@@ -420,10 +408,6 @@ mod tests {
                 SimEngine::Full => {
                     assert_eq!(b.batchable(), 0);
                     assert!(b.rows.iter().all(|r| r.packed == 0 && r.sliced == 0));
-                }
-                SimEngine::Sliced => {
-                    assert_eq!(b.batchable(), 0);
-                    assert_eq!(b.rows.iter().map(|r| r.full).sum::<usize>(), 0);
                 }
                 SimEngine::Packed => {
                     // Every address-local class vectorizes now; only the
@@ -563,19 +547,15 @@ mod tests {
                 &g,
                 &CoverageOptions { engine: SimEngine::Full, ..CoverageOptions::default() },
             );
-            for engine in [SimEngine::Sliced, SimEngine::Packed] {
-                let other = evaluate_coverage(
-                    &test,
-                    &g,
-                    &CoverageOptions { engine, ..CoverageOptions::default() },
-                );
-                assert_eq!(
-                    full,
-                    other,
-                    "{} report must not depend on engine ({engine:?})",
-                    test.name()
-                );
-            }
+            let packed = evaluate_coverage(
+                &test,
+                &g,
+                &CoverageOptions {
+                    engine: SimEngine::Packed,
+                    ..CoverageOptions::default()
+                },
+            );
+            assert_eq!(full, packed, "{} report must not depend on engine", test.name());
         }
     }
 

@@ -8,13 +8,13 @@
 //! order**, so the result is bit-for-bit identical regardless of worker
 //! count or engine ([`SimEngine`]).
 //!
-//! Each worker owns one [`WorkerScratch`]: faults taking the full-replay
-//! path (the [`SimEngine::Full`] engine, or a sliced-engine fallback for
-//! address-decoder faults) reuse its scratch [`MemoryArray`], reset
-//! between faults, and sliced replays reuse its sense-latch buffer — an
-//! allocation-free steady state instead of per-fault allocations. Under
+//! Each worker owns one [`WorkerScratch`]: faults taking a full replay
+//! (every fault under [`SimEngine::Full`]) reuse its scratch
+//! [`MemoryArray`], reset between faults, and the per-fault sliced replays
+//! ([`detect_one`]) reuse its sense-latch buffer — an allocation-free
+//! steady state instead of per-fault allocations. Under
 //! [`SimEngine::Packed`] the chunk itself is the work unit: the worker
-//! batches its faults into `u64` lanes and replays the trace once per
+//! batches its faults into 256-lane blocks and replays the trace once per
 //! batch (see [`crate::packed`]).
 //!
 //! Workers are panic-isolated: a chunk whose worker dies (however it dies)
@@ -39,15 +39,24 @@ use crate::sliced::SlicedScratch;
 use crate::trace::{CompiledTrace, SimEngine};
 
 /// Reusable per-worker simulation scratch: the lazily-created full-replay
-/// array plus the sliced engine's sense-latch buffer.
+/// array plus the sliced replay's sense-latch buffer.
 #[derive(Default)]
 pub(crate) struct WorkerScratch {
     mem: Option<MemoryArray>,
     sliced: SlicedScratch,
 }
 
+impl WorkerScratch {
+    /// Full replay of one fault on the lazily-created scratch array (reset
+    /// between faults).
+    pub(crate) fn detect_full(&mut self, trace: &CompiledTrace, fault: FaultKind) -> bool {
+        let mem = self.mem.get_or_insert_with(|| MemoryArray::new(trace.geometry()));
+        trace.detect_full(fault, mem)
+    }
+}
+
 /// Below this many faults per worker, thread spawn overhead outweighs the
-/// simulation work — small whole-universe runs were measurably *slower*
+/// full-replay work — small whole-universe runs were measurably *slower*
 /// parallel than serial — so the chunking rounds the worker count down
 /// until every worker holds at least a floor's worth of faults.
 const MIN_FAULTS_PER_WORKER: usize = 256;
@@ -70,7 +79,7 @@ pub(crate) const MIN_CANDIDATES_PER_WORKER: usize = 4;
 fn min_faults_per_worker(engine: SimEngine) -> usize {
     match engine {
         SimEngine::Packed => MIN_FAULTS_PER_PACKED_WORKER,
-        _ => MIN_FAULTS_PER_WORKER,
+        SimEngine::Full => MIN_FAULTS_PER_WORKER,
     }
 }
 
@@ -165,18 +174,16 @@ fn detect_universe_resilient(
                 Ok(Some(flags)) => flags,
                 // The worker died (caught panic, or one that escaped the
                 // isolation): degrade to a serial per-fault re-run of its
-                // chunk so the report stays complete and bit-identical
-                // (the packed engine's per-fault route is the sliced one).
+                // chunk so the report stays complete and bit-identical.
                 Ok(None) | Err(_) => {
-                    let fallback = match engine {
-                        SimEngine::Packed => SimEngine::Sliced,
-                        other => other,
-                    };
                     let mut scratch = WorkerScratch::default();
                     faults
                         .iter()
                         .take_while(|_| !cancel.is_cancelled())
-                        .map(|&f| detect_one(trace, f, fallback, &mut scratch))
+                        .map(|&f| match engine {
+                            SimEngine::Packed => detect_one(trace, f, &mut scratch),
+                            SimEngine::Full => scratch.detect_full(trace, f),
+                        })
                         .collect()
                 }
             })
@@ -184,9 +191,9 @@ fn detect_universe_resilient(
     })
 }
 
-/// Simulates one chunk through the selected engine: per fault for the
-/// full/sliced engines, batched lane-parallel for the packed engine. The
-/// poison hook charges once per fault regardless of engine, so the
+/// Simulates one chunk through the selected engine: a full replay per
+/// fault for the full engine, batched lane-parallel for the packed engine.
+/// The poison hook charges once per fault regardless of engine, so the
 /// worker-death resilience tests behave uniformly.
 fn run_chunk(
     trace: &CompiledTrace,
@@ -201,7 +208,7 @@ fn run_chunk(
             faults.iter().for_each(|_| maybe_trip(poison));
             packed::detect_chunk(trace, faults, scratch, cancel)
         }
-        _ => {
+        SimEngine::Full => {
             let mut flags = Vec::with_capacity(faults.len());
             for batch in faults.chunks(CANCEL_CHECK_STRIDE) {
                 if cancel.is_cancelled() {
@@ -209,7 +216,7 @@ fn run_chunk(
                 }
                 flags.extend(batch.iter().map(|&f| {
                     maybe_trip(poison);
-                    detect_one(trace, f, engine, scratch)
+                    scratch.detect_full(trace, f)
                 }));
             }
             flags
@@ -229,26 +236,19 @@ fn maybe_trip(poison: Option<&AtomicUsize>) {
     }
 }
 
-/// One fault through the selected per-fault engine route (the packed
-/// engine routes its non-batchable faults here with `Sliced`); the
-/// lazily-created scratch array is reused (reset between faults) whenever
-/// a full replay is needed, and sliced replays reuse the scratch's
-/// sense-latch buffer.
+/// The packed engine's per-fault path, for the faults it cannot lane-pack
+/// (and for re-running a dead worker's chunk): the sliced replay over the
+/// fault's support words or decoder word pair, else a full replay on the
+/// scratch array. Sliced replays reuse the scratch's sense-latch buffer.
 pub(crate) fn detect_one(
     trace: &CompiledTrace,
     fault: FaultKind,
-    engine: SimEngine,
     scratch: &mut WorkerScratch,
 ) -> bool {
-    if engine != SimEngine::Full {
-        if let Some(flag) =
-            crate::sliced::detect_sliced_with(trace, fault, &mut scratch.sliced)
-        {
-            return flag;
-        }
+    match crate::sliced::detect_sliced_with(trace, fault, &mut scratch.sliced) {
+        Some(flag) => flag,
+        None => scratch.detect_full(trace, fault),
     }
-    let mem = scratch.mem.get_or_insert_with(|| MemoryArray::new(trace.geometry()));
-    trace.detect_full(fault, mem)
 }
 
 #[cfg(test)]
@@ -280,7 +280,7 @@ mod tests {
                 SimEngine::Full,
                 &CancelToken::none(),
             );
-            for engine in [SimEngine::Full, SimEngine::Sliced, SimEngine::Packed] {
+            for engine in SimEngine::ALL {
                 for jobs in [Some(1), Some(2), Some(5), None] {
                     assert_eq!(
                         detect_universe(
@@ -301,8 +301,8 @@ mod tests {
 
     #[test]
     fn mixed_universe_falls_back_per_fault() {
-        // Address-decoder faults interleaved with sliceable ones: the
-        // sliced engine must route each fault to the right path.
+        // Address-decoder faults interleaved with lane-packable ones: the
+        // packed engine must route each fault to the right path.
         let g = MemGeometry::bit_oriented(16);
         let steps = expand(&library::march_c(), &g);
         let spec = UniverseSpec::default();
@@ -316,15 +316,6 @@ mod tests {
             SimEngine::Full,
             &CancelToken::none(),
         );
-        let sliced = detect_universe(
-            &g,
-            &steps,
-            &universe,
-            Some(1),
-            SimEngine::Sliced,
-            &CancelToken::none(),
-        );
-        assert_eq!(full, sliced);
         let packed = detect_universe(
             &g,
             &steps,
@@ -424,7 +415,7 @@ mod tests {
         let steps = expand(&library::march_c(), &g);
         let universe = class_universe(&g, FaultClass::StuckAt, &UniverseSpec::default());
         assert!(universe.len() > CANCEL_CHECK_STRIDE);
-        for engine in [SimEngine::Full, SimEngine::Sliced, SimEngine::Packed] {
+        for engine in SimEngine::ALL {
             let cancel = CancelToken::manual();
             cancel.cancel();
             let flags = detect_universe(&g, &steps, &universe, Some(1), engine, &cancel);
@@ -445,12 +436,12 @@ mod tests {
             &steps,
             &universe,
             Some(1),
-            SimEngine::Sliced,
+            SimEngine::Packed,
             &CancelToken::none(),
         );
         let live = CancelToken::manual();
         assert_eq!(
-            detect_universe(&g, &steps, &universe, Some(2), SimEngine::Sliced, &live),
+            detect_universe(&g, &steps, &universe, Some(2), SimEngine::Packed, &live),
             baseline,
             "an untripped token must not perturb the flags"
         );
@@ -465,7 +456,7 @@ mod tests {
             &steps,
             &[],
             Some(8),
-            SimEngine::Sliced,
+            SimEngine::Packed,
             &CancelToken::none()
         )
         .is_empty());
@@ -473,8 +464,8 @@ mod tests {
 
     #[test]
     fn poisoned_chunk_degrades_to_serial_rerun_with_identical_report() {
-        // Past the sliced fan-out floor for Some(4) to spawn ≥ 2 workers
-        // (the single-worker path runs inline, no panic isolation).
+        // Past the full-replay fan-out floor for Some(4) to spawn ≥ 2
+        // workers (the single-worker path runs inline, no panic isolation).
         let g = MemGeometry::bit_oriented(256);
         let steps = expand(&library::march_c(), &g);
         let universe = class_universe(&g, FaultClass::StuckAt, &UniverseSpec::default());
@@ -484,7 +475,7 @@ mod tests {
             &steps,
             &universe,
             Some(1),
-            SimEngine::Sliced,
+            SimEngine::Full,
             &CancelToken::none(),
         );
         let trace = CompiledTrace::from_steps(g, &steps);
@@ -495,7 +486,7 @@ mod tests {
             &trace,
             &universe,
             Some(4),
-            SimEngine::Sliced,
+            SimEngine::Full,
             &CancelToken::none(),
             Some(&poison),
         );
@@ -514,7 +505,7 @@ mod tests {
             &steps,
             &universe,
             Some(1),
-            SimEngine::Sliced,
+            SimEngine::Full,
             &CancelToken::none(),
         );
         let trace = CompiledTrace::from_steps(g, &steps);

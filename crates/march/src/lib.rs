@@ -11,11 +11,12 @@
 //!   BIST controller is verified against,
 //! - [`run_steps`] / [`detects`]: executing streams against a fault-
 //!   injectable [`MemoryArray`](mbist_mem::MemoryArray),
-//! - [`CompiledTrace`] / [`SimEngine`]: sliced differential fault
-//!   simulation — compile a stream once, replay each address-local fault
-//!   against only the accesses touching its support set — and lane-packed
-//!   bit-parallel simulation ([`SimEngine::Packed`]), batching up to 256
-//!   congruent faults into `[u64; 4]` lane blocks per trace replay,
+//! - [`CompiledTrace`] / [`SimEngine`]: compile a stream once, then
+//!   simulate faults lane-packed and bit-parallel ([`SimEngine::Packed`],
+//!   the default), batching up to 256 congruent faults into `[u64; 4]`
+//!   lane blocks per trace replay, or one by one over the whole stream
+//!   ([`SimEngine::Full`], the oracle); single faults replay only the
+//!   accesses touching their support set ([`CompiledTrace::detect`]),
 //! - [`evaluate_coverage`]: per-fault-class coverage by serial fault
 //!   simulation,
 //! - [`run_transparent`]: Nicolaidis-style content-preserving testing.

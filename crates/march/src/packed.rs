@@ -1,12 +1,13 @@
 //! Lane-packed bit-parallel fault simulation over a [`CompiledTrace`].
 //!
-//! The sliced engine ([`crate::sliced`]) already reduced per-fault work to
-//! the accesses touching the fault's support set, but it still replays
-//! those accesses once *per fault*. This module goes one step further by
-//! packing up to [`LANES`] faults into the bit lanes of `[u64; 4]` state
-//! vectors and replaying a shared access program **once per batch** with
-//! branch-free bitwise lane updates (the classic bit-parallel single-fault
-//! propagation trick, applied across faults instead of across patterns).
+//! The sliced replay ([`crate::sliced`], the per-fault path) reduces
+//! per-fault work to the accesses touching the fault's support set, but it
+//! still replays those accesses once *per fault*. This module goes one
+//! step further by packing up to [`LANES`] faults into the bit lanes of
+//! `[u64; 4]` state vectors and replaying a shared access program **once
+//! per batch** with branch-free bitwise lane updates (the classic
+//! bit-parallel single-fault propagation trick, applied across faults
+//! instead of across patterns).
 //!
 //! Every address-local class vectorizes: the combinational classes (SAF,
 //! TF, CFin, CFid, CFst), stuck-open faults (the per-port sense-amp latch
@@ -56,7 +57,8 @@
 //! Decoder faults are not address-local and never lane-pack; they route
 //! per fault to the sliced two-word decoder replay, so reports stay
 //! bit-identical to [`SimEngine::Full`](crate::SimEngine::Full) — the
-//! equivalence the three-way `sliced_equivalence` proptest suite pins.
+//! equivalence the `sliced_equivalence` proptest suite and the
+//! `engine_corpus` regression corpus pin.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -66,7 +68,7 @@ use mbist_mem::{CellId, FaultKind};
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_STRIDE};
 use crate::fanout::{detect_one, WorkerScratch};
-use crate::trace::{CompiledTrace, FnvBuild, SimEngine, TraceOpKind};
+use crate::trace::{CompiledTrace, FnvBuild, TraceOpKind};
 
 /// `u64` blocks per lane vector.
 const LANE_BLOCKS: usize = 4;
@@ -281,8 +283,10 @@ struct LaneSpec {
 }
 
 /// Whether the packed engine simulates `fault` in a bit lane, as opposed
-/// to the per-fault sliced/full fallback. The fallback replays the flat
-/// step stream, so a scoring loop may compile steps-free traces
+/// to the per-fault path ([`detect_one`]) — the exact [`detect_chunk`]
+/// eligibility rule, and the basis of the routing breakdown in
+/// [`crate::coverage`]. The per-fault path may replay the flat step
+/// stream, so a scoring loop may compile steps-free traces
 /// ([`crate::trace::TraceArena::set_skip_steps`]) only when every universe
 /// fault is lane-packable.
 pub(crate) fn lane_packable(fault: FaultKind) -> bool {
@@ -388,13 +392,6 @@ fn lane_spec(fault: FaultKind) -> Option<LaneSpec> {
         }
         _ => None,
     }
-}
-
-/// Whether the packed engine lane-packs `fault` (the exact
-/// [`detect_chunk`] eligibility rule — the basis of the honest routing
-/// breakdown in [`crate::coverage`]).
-pub(crate) fn batchable(fault: FaultKind) -> bool {
-    lane_spec(fault).is_some()
 }
 
 /// The per-lane state of a batch — live lane count, class and constant
@@ -1084,10 +1081,10 @@ fn route_of(trace: &CompiledTrace, spec: &LaneSpec, uniform: bool) -> Route {
 }
 
 /// Simulates a chunk of faults: every address-local fault is grouped into
-/// lanes and replayed once per batch; decoder faults route per fault
-/// through the same sliced path as [`SimEngine::Sliced`]. Returns one flag
-/// per fault, in chunk order — batching never reorders or changes a
-/// verdict, only the wall-clock cost.
+/// lanes and replayed once per batch; decoder faults route through the
+/// per-fault path ([`detect_one`]). Returns one flag per fault, in chunk
+/// order — batching never reorders or changes a verdict, only the
+/// wall-clock cost.
 pub(crate) fn detect_chunk(
     trace: &CompiledTrace,
     faults: &[FaultKind],
@@ -1118,7 +1115,7 @@ pub(crate) fn detect_chunk(
             return Vec::new();
         }
         let Some(spec) = lane_spec(fault) else {
-            flags[index] = detect_one(trace, fault, SimEngine::Sliced, scratch);
+            flags[index] = detect_one(trace, fault, scratch);
             continue;
         };
         let (program, flipped) = match route_of(trace, &spec, uniform) {
@@ -1635,7 +1632,11 @@ mod tests {
             assert!(!universe.is_empty(), "{class:?} universe must be populated");
             let expect = class != FaultClass::AddressDecoder;
             for fault in universe {
-                assert_eq!(batchable(fault), expect, "{fault} routed to the wrong engine");
+                assert_eq!(
+                    lane_packable(fault),
+                    expect,
+                    "{fault} routed to the wrong path"
+                );
             }
         }
         // Hand-made NPSF neighborhoods that reuse a word do not lane-pack
@@ -1651,7 +1652,7 @@ mod tests {
             ],
             forced: true,
         };
-        assert!(!batchable(overlapping));
+        assert!(!lane_packable(overlapping));
     }
 
     #[test]

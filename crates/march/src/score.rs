@@ -72,8 +72,8 @@ pub struct CandidateBatchScorer {
     expand: ExpandOptions,
     universe: Vec<FaultKind>,
     engine: SimEngine,
-    /// Precomputed packed batching (`None` for the sliced/full engines —
-    /// per-trace eligibility is still re-checked per candidate).
+    /// Precomputed packed batching (`None` for the full engine — per-trace
+    /// eligibility is still re-checked per candidate).
     plan: Option<UniversePlan>,
     /// Whether worker arenas may skip the flat step stream: only the
     /// packed engine with a fully lane-packable universe never replays it.
@@ -97,7 +97,7 @@ impl CandidateBatchScorer {
     ) -> Self {
         let plan = match engine {
             SimEngine::Packed => Some(UniversePlan::new(geometry, &universe)),
-            _ => None,
+            SimEngine::Full => None,
         };
         let steps_free = engine == SimEngine::Packed
             && universe.iter().all(|&f| crate::packed::lane_packable(f));
@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn batch_scores_equal_serial_reference_for_every_engine() {
         let batch: Vec<MarchTest> = library::all();
-        for engine in [SimEngine::Full, SimEngine::Sliced, SimEngine::Packed] {
+        for engine in SimEngine::ALL {
             let mut s = scorer(engine, 16);
             let reference: Vec<usize> = batch
                 .iter()

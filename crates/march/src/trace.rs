@@ -39,13 +39,9 @@ use crate::test::MarchTest;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimEngine {
     /// Full replay: one (scratch) array per fault, whole stream, early exit
-    /// at the first miscompare.
+    /// at the first miscompare — the oracle every other path is verified
+    /// against.
     Full,
-    /// Sliced differential replay over the shared compiled trace, falling
-    /// back to full replay for faults without an address-local support set.
-    /// Bit-for-bit equivalent to [`SimEngine::Full`].
-    #[default]
-    Sliced,
     /// Lane-packed bit-parallel replay: up to 256 congruent address-local
     /// faults are batched into the bit lanes of `[u64; 4]` state vectors and
     /// the trace is replayed **once per batch** with branch-free lane
@@ -53,9 +49,38 @@ pub enum SimEngine {
     /// vectorized — including stuck-open sense latches, retention decay
     /// (precomputed deadlines) and fixed-shape NPSF — and congruent faults
     /// are batched across data backgrounds and ports; only decoder faults
-    /// fall back per fault to the sliced/full paths. Bit-for-bit equivalent
-    /// to [`SimEngine::Full`].
+    /// take the per-fault path (the two-word decoder replay). Bit-for-bit
+    /// equivalent to [`SimEngine::Full`].
+    #[default]
     Packed,
+}
+
+impl SimEngine {
+    /// Every engine, in declaration order (so `engine as usize` indexes
+    /// it) — the wire order of the service's per-engine counters.
+    pub const ALL: [SimEngine; 2] = [SimEngine::Full, SimEngine::Packed];
+
+    /// Parses a CLI/service engine name (`full` or `packed`) — the exact
+    /// inverse of [`SimEngine::name`].
+    #[must_use]
+    pub fn parse_name(name: &str) -> Option<SimEngine> {
+        SimEngine::ALL.into_iter().find(|engine| engine.name() == name)
+    }
+
+    /// The lowercase CLI/service name.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            SimEngine::Full => "full",
+            SimEngine::Packed => "packed",
+        }
+    }
+}
+
+impl std::fmt::Display for SimEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 /// Stable canonical hash of a `(test name, expanded step stream, geometry)`
@@ -569,8 +594,9 @@ impl CompiledTrace {
         &self.steps
     }
 
-    /// Whether the stream detects `fault`: sliced replay when the fault is
-    /// address-local, full replay on a fresh array otherwise.
+    /// Whether the stream detects `fault`, through the per-fault path:
+    /// sliced replay when the fault is address-local or a decoder fault,
+    /// full replay on a fresh array otherwise.
     ///
     /// # Panics
     ///
@@ -593,7 +619,7 @@ impl CompiledTrace {
     ///
     /// Panics if the fault does not fit the trace geometry.
     #[must_use]
-    pub fn detect_sliced(&self, fault: FaultKind) -> Option<bool> {
+    pub(crate) fn detect_sliced(&self, fault: FaultKind) -> Option<bool> {
         assert!(
             fault.is_valid_for(&self.geometry),
             "fault {fault} does not fit trace geometry {}",
@@ -607,9 +633,9 @@ impl CompiledTrace {
     /// detection flag per fault in universe order.
     ///
     /// Worker count and engine only change wall-clock time, never the
-    /// flags — [`SimEngine::Packed`] batches compatible faults into `u64`
-    /// lanes and replays the trace once per batch, while non-vectorizable
-    /// faults transparently take the sliced/full paths.
+    /// flags — [`SimEngine::Packed`] batches compatible faults into
+    /// 256-lane `[u64; 4]` blocks and replays the trace once per batch,
+    /// while decoder faults transparently take the per-fault path.
     ///
     /// # Panics
     ///
@@ -651,8 +677,8 @@ impl CompiledTrace {
     }
 
     /// Full-replay detection on a caller-provided scratch array (reset,
-    /// re-injected, replayed with early exit) — the fallback oracle the
-    /// sliced engine is verified against.
+    /// re-injected, replayed with early exit) — the oracle the packed
+    /// engine and the per-fault path are verified against.
     ///
     /// # Panics
     ///
@@ -758,9 +784,9 @@ impl CompiledTrace {
                     }
                 }
             }
-            _ => {
+            SimEngine::Full => {
                 for &fault in universe {
-                    if crate::fanout::detect_one(self, fault, engine, scratch) {
+                    if scratch.detect_full(self, fault) {
                         count += 1;
                         if count >= stop {
                             return stop;
@@ -873,9 +899,9 @@ impl TraceArena {
     /// path: compiled traces come back with empty `steps`, while the
     /// per-word op lists still carry the true global step indices. The
     /// packed engine detects purely from the per-word lists, so a
-    /// packed-only scoring loop saves one push per access; the sliced and
-    /// full engines replay the step stream and MUST NOT consume traces
-    /// compiled this way. Toggling invalidates any cached prefix state.
+    /// packed-only scoring loop saves one push per access; full replay (and
+    /// the per-fault path, which falls back to it) replays the step stream
+    /// and MUST NOT consume traces compiled this way. Toggling invalidates any cached prefix state.
     pub(crate) fn set_skip_steps(&mut self, skip: bool) {
         if self.skip_steps != skip {
             self.skip_steps = skip;
@@ -1473,6 +1499,16 @@ mod tests {
     }
 
     #[test]
+    fn engine_names_round_trip_and_index_all() {
+        for (i, engine) in SimEngine::ALL.into_iter().enumerate() {
+            assert_eq!(engine as usize, i, "ALL must follow declaration order");
+            assert_eq!(SimEngine::parse_name(engine.name()), Some(engine));
+            assert_eq!(engine.to_string(), engine.name());
+        }
+        assert_eq!(SimEngine::parse_name("turbo"), None);
+    }
+
+    #[test]
     fn count_detected_matches_flags_and_caps_exactly() {
         use mbist_mem::{subset_universe, FaultClass, UniverseSpec};
         let g = MemGeometry::bit_oriented(16);
@@ -1483,7 +1519,7 @@ mod tests {
         let flags = trace.detect_universe(&universe, Some(1), SimEngine::Packed);
         let total = flags.iter().filter(|&&f| f).count();
         assert!(total > 2, "universe too easy to exercise caps");
-        for engine in [SimEngine::Full, SimEngine::Sliced, SimEngine::Packed] {
+        for engine in SimEngine::ALL {
             assert_eq!(trace.count_detected(&universe, engine, None), total);
             assert_eq!(trace.count_detected(&universe, engine, Some(usize::MAX)), total);
             // A reached cap returns exactly the cap, chunking-independent.

@@ -1,5 +1,5 @@
-//! Fixed-seed regression corpus for the three-way engine equivalence
-//! (full vs sliced vs packed).
+//! Fixed-seed regression corpus for the engine equivalence (packed vs
+//! full, and the per-fault path vs full).
 //!
 //! The `sliced_equivalence` property suite explores random streams behind
 //! the `proptest` feature; this corpus replays a committed set of
@@ -138,14 +138,19 @@ fn fixed_seed_corpus_agrees_three_ways() {
                 run_steps_detect(&mut mem, &steps)
             })
             .collect();
-        for engine in [SimEngine::Sliced, SimEngine::Packed] {
-            for jobs in [Some(1), Some(3)] {
-                assert_eq!(
-                    trace.detect_universe(&universe, jobs, engine),
-                    full,
-                    "corpus seed {seed:#x} ({g}) disagrees under {engine:?} jobs={jobs:?}"
-                );
-            }
+        for jobs in [Some(1), Some(3)] {
+            assert_eq!(
+                trace.detect_universe(&universe, jobs, SimEngine::Packed),
+                full,
+                "corpus seed {seed:#x} ({g}) disagrees under packed jobs={jobs:?}"
+            );
+        }
+        for (&fault, &flag) in universe.iter().zip(&full) {
+            assert_eq!(
+                trace.detect(fault),
+                flag,
+                "corpus seed {seed:#x} ({g}): per-fault detect disagrees on {fault}"
+            );
         }
     }
 }
@@ -186,15 +191,21 @@ fn march_expansions_agree_on_sof_retention_npsf_universes() {
                     run_steps_detect(&mut mem, &steps)
                 })
                 .collect();
-            for engine in [SimEngine::Sliced, SimEngine::Packed] {
-                for jobs in [Some(1), Some(3)] {
-                    assert_eq!(
-                        trace.detect_universe(&universe, jobs, engine),
-                        full,
-                        "{} on {g} disagrees under {engine:?} jobs={jobs:?}",
-                        test.name()
-                    );
-                }
+            for jobs in [Some(1), Some(3)] {
+                assert_eq!(
+                    trace.detect_universe(&universe, jobs, SimEngine::Packed),
+                    full,
+                    "{} on {g} disagrees under packed jobs={jobs:?}",
+                    test.name()
+                );
+            }
+            for (&fault, &flag) in universe.iter().zip(&full) {
+                assert_eq!(
+                    trace.detect(fault),
+                    flag,
+                    "{} on {g}: per-fault detect disagrees on {fault}",
+                    test.name()
+                );
             }
         }
     }

@@ -1,11 +1,12 @@
-//! Randomized equivalence suite: the sliced differential engine and the
-//! lane-packed bit-parallel engine must be bit-for-bit equivalent to the
-//! full replay on arbitrary step streams — not just on well-formed march
-//! expansions — across bit- and word-oriented geometries, multi-port
-//! streams, `Pause` steps (the Retention timing axis) and repeated reads
-//! (the PullOpen drain axis). A fixed-seed corpus reruns deterministic
-//! stream seeds on every CI run, so a failure reproduces without chasing
-//! the property-test RNG.
+//! Randomized equivalence suite: the lane-packed bit-parallel engine and
+//! the per-fault path ([`CompiledTrace::detect`], the sliced differential
+//! replay) must be bit-for-bit equivalent to the full replay on arbitrary
+//! step streams — not just on well-formed march expansions — across bit-
+//! and word-oriented geometries, multi-port streams, `Pause` steps (the
+//! Retention timing axis) and repeated reads (the PullOpen drain axis). A
+//! fixed-seed corpus (`engine_corpus`) reruns deterministic stream seeds
+//! on every CI run, so a failure reproduces without chasing the
+//! property-test RNG.
 
 use proptest::prelude::*;
 
@@ -91,10 +92,10 @@ fn build_steps(g: &MemGeometry, raw: &[(u64, u64, u8, u8)]) -> Vec<TestStep> {
 }
 
 proptest! {
-    /// Sliced ≡ packed ≡ full replay for a random fault of a random class
-    /// on a random stream — the core three-way differential property.
+    /// `detect` ≡ full and packed ≡ full for a random fault of a random
+    /// class on a random stream — the core differential property.
     #[test]
-    fn sliced_detection_matches_full_replay(
+    fn detect_and_packed_match_full_replay(
         raw in arb_raw_steps(),
         geom_choice in 0usize..5,
         class_idx in 0usize..FaultClass::ALL.len(),
@@ -113,9 +114,6 @@ proptest! {
         let mut mem = MemoryArray::with_fault(g, fault).unwrap();
         let full = run_steps_detect(&mut mem, &steps);
 
-        if let Some(flag) = trace.detect_sliced(fault) {
-            prop_assert_eq!(flag, full, "sliced vs full on {} ({})", fault, g);
-        }
         prop_assert_eq!(trace.detect(fault), full, "routed detect on {} ({})", fault, g);
         let packed = trace.detect_universe(&[fault], Some(1), SimEngine::Packed);
         prop_assert_eq!(packed[0], full, "packed vs full on {} ({})", fault, g);
@@ -153,7 +151,8 @@ proptest! {
 
     /// Timing-sensitive classes deserve extra shots: Retention decay
     /// (pause-driven) and PullOpen drain (consecutive-read-driven) must
-    /// agree on streams full of pauses and repeated reads.
+    /// agree on streams full of pauses and repeated reads, through the
+    /// per-fault path and the packed lanes alike.
     #[test]
     fn timing_sensitive_classes_agree(
         raw in arb_raw_steps(),
@@ -174,13 +173,9 @@ proptest! {
 
         let mut mem = MemoryArray::with_fault(g, fault).unwrap();
         let full = run_steps_detect(&mut mem, &steps);
-        prop_assert_eq!(
-            trace.detect_sliced(fault),
-            Some(full),
-            "{} is address-local and must slice ({})",
-            fault,
-            g
-        );
+        prop_assert_eq!(trace.detect(fault), full, "routed detect on {} ({})", fault, g);
+        let packed = trace.detect_universe(&[fault], Some(1), SimEngine::Packed);
+        prop_assert_eq!(packed[0], full, "packed vs full on {} ({})", fault, g);
     }
 
     /// The classes the packed engine vectorizes via special lane state —
@@ -236,7 +231,7 @@ proptest! {
             ..CoverageOptions::default()
         };
         let reference = evaluate_coverage(test, &g, &opts(SimEngine::Full, Some(1)));
-        for engine in [SimEngine::Full, SimEngine::Sliced, SimEngine::Packed] {
+        for engine in SimEngine::ALL {
             for jobs in [Some(1), Some(3), None] {
                 prop_assert_eq!(
                     &evaluate_coverage(test, &g, &opts(engine, jobs)),

@@ -6,8 +6,7 @@
 //! the packed engine's precomputed universe plan, and early exit once the
 //! detection target is decided. Scores are bit-identical for every worker
 //! count and engine, which is what makes the whole search trajectory (and
-//! therefore its output) independent of `--jobs` and of packed-vs-sliced
-//! engine choice.
+//! therefore its output) independent of `--jobs` and of the engine choice.
 //!
 //! # Batched evaluation and the serial contract
 //!

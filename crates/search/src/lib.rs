@@ -20,8 +20,8 @@
 //! [`CandidateBatchScorer`](mbist_march::CandidateBatchScorer), which fans
 //! *candidates* across workers but joins results in candidate order —
 //! never first-finished-wins — and whose per-candidate counts are
-//! bit-identical across worker counts and engines, so `--jobs` and
-//! packed-vs-sliced cannot perturb the search trajectory.
+//! bit-identical across worker counts and engines, so neither `--jobs`
+//! nor `--engine` can perturb the search trajectory.
 //!
 //! # Examples
 //!
@@ -139,7 +139,7 @@ impl Default for SearchOptions {
             seed: 1,
             max_elements: 12,
             jobs: None,
-            engine: SimEngine::Packed,
+            engine: SimEngine::default(),
             cancel: CancelToken::none(),
             strategy: Strategy::Evolutionary,
         }

@@ -102,17 +102,17 @@ fn same_seed_is_byte_identical_across_job_counts() {
     }
 }
 
-/// Satellite: packed and sliced oracles must drive the search to the
-/// same answer (their detection flags are bit-identical).
+/// The packed oracle and the full-replay oracle must drive the search to
+/// the same answer (their detection flags are bit-identical).
 #[test]
 fn same_seed_is_byte_identical_across_engines() {
     let packed =
         search_march("s", &SearchOptions { engine: SimEngine::Packed, ..small_options() });
-    let sliced =
-        search_march("s", &SearchOptions { engine: SimEngine::Sliced, ..small_options() });
-    assert_eq!(packed.test.to_string(), sliced.test.to_string());
-    assert_eq!(packed.detected, sliced.detected);
-    assert_eq!(packed.evaluations, sliced.evaluations);
+    let full =
+        search_march("s", &SearchOptions { engine: SimEngine::Full, ..small_options() });
+    assert_eq!(packed.test.to_string(), full.test.to_string());
+    assert_eq!(packed.detected, full.detected);
+    assert_eq!(packed.evaluations, full.evaluations);
 }
 
 #[test]

@@ -91,14 +91,6 @@ fn result_key(seed: u64, tag: &str, params: &[u64]) -> u64 {
     h
 }
 
-fn engine_tag(engine: SimEngine) -> u64 {
-    match engine {
-        SimEngine::Full => 0,
-        SimEngine::Sliced => 1,
-        SimEngine::Packed => 2,
-    }
-}
-
 /// Hash of the request spec string plus geometry — the cheap first-level
 /// cache key that avoids march expansion on exact-repeat requests.
 fn spec_alias_key(spec: &str, geometry: &MemGeometry) -> u64 {
@@ -160,7 +152,7 @@ pub(crate) fn execute(
             let memo_key = result_key(
                 trace_key,
                 "coverage",
-                &[max_faults.map_or(u64::MAX, |m| m as u64), engine_tag(*engine)],
+                &[max_faults.map_or(u64::MAX, |m| m as u64), *engine as u64],
             );
             if let Some(text) = shared.cache.get_result(memo_key) {
                 shared.metrics.record_result_lookup(true);
@@ -205,7 +197,7 @@ pub(crate) fn execute(
             ctx.check()?;
             let class_tags: Vec<u64> =
                 parsed.iter().map(|c| c.label().bytes().map(u64::from).sum()).collect();
-            let mut params = vec![*max_elements as u64, engine_tag(*engine)];
+            let mut params = vec![*max_elements as u64, *engine as u64];
             params.extend(class_tags);
             let memo_key = result_key(0, "synth", &params);
             if let Some(text) = shared.cache.get_result(memo_key) {
@@ -346,7 +338,7 @@ pub(crate) fn try_fast(
             let memo_key = result_key(
                 trace_key,
                 "coverage",
-                &[max_faults.map_or(u64::MAX, |m| m as u64), engine_tag(*engine)],
+                &[max_faults.map_or(u64::MAX, |m| m as u64), *engine as u64],
             );
             let text = shared.cache.get_result(memo_key)?;
             shared.metrics.record_trace_lookup(true);
@@ -373,7 +365,7 @@ pub(crate) fn try_fast(
             let parsed = parse_classes(classes).ok()?;
             let class_tags: Vec<u64> =
                 parsed.iter().map(|c| c.label().bytes().map(u64::from).sum()).collect();
-            let mut params = vec![*max_elements as u64, engine_tag(*engine)];
+            let mut params = vec![*max_elements as u64, *engine as u64];
             params.extend(class_tags);
             let text = shared.cache.get_result(result_key(0, "synth", &params))?;
             shared.metrics.record_result_lookup(true);
@@ -468,7 +460,7 @@ fn synth_search_key(
         budget as u64,
         strategy_tag,
         max_elements as u64,
-        engine_tag(engine),
+        engine as u64,
     ];
     params.extend(classes.iter().map(|c| c.label().bytes().map(u64::from).sum::<u64>()));
     result_key(seed, "synth_search", &params)

@@ -19,19 +19,6 @@ use crate::json::Json;
 pub const KINDS: [&str; 7] =
     ["coverage", "detects", "synth", "synth_search", "area", "status", "shutdown"];
 
-/// Simulation engines with dedicated job counters, in wire order (index =
-/// [`engine_index`] of the corresponding [`SimEngine`]).
-pub const ENGINES: [&str; 3] = ["full", "sliced", "packed"];
-
-/// The `ENGINES` row an engine's jobs are counted under.
-fn engine_index(engine: SimEngine) -> usize {
-    match engine {
-        SimEngine::Full => 0,
-        SimEngine::Sliced => 1,
-        SimEngine::Packed => 2,
-    }
-}
-
 /// Power-of-two microsecond buckets: bucket `i` covers `[2^i, 2^(i+1))` µs,
 /// the last bucket is open-ended (≈ 34 s and beyond).
 const BUCKETS: usize = 36;
@@ -160,7 +147,8 @@ impl Default for RoutingCounters {
 #[derive(Debug, Default)]
 struct Inner {
     per_kind: [KindStats; KINDS.len()],
-    per_engine: [u64; ENGINES.len()],
+    /// Jobs per engine, indexed in [`SimEngine::ALL`] order.
+    per_engine: [u64; SimEngine::ALL.len()],
     routing: RoutingCounters,
     rejected_busy: u64,
     trace_hits: u64,
@@ -268,7 +256,7 @@ impl Metrics {
     /// not counted).
     pub fn record_engine(&self, engine: SimEngine) {
         let mut inner = self.inner.lock().expect("metrics lock");
-        inner.per_engine[engine_index(engine)] += 1;
+        inner.per_engine[engine as usize] += 1;
     }
 
     /// Records the per-class engine routing of one coverage run that
@@ -419,10 +407,10 @@ impl Metrics {
             (
                 "engines",
                 Json::Obj(
-                    ENGINES
+                    SimEngine::ALL
                         .iter()
                         .zip(inner.per_engine.iter())
-                        .map(|(name, &jobs)| (name.to_string(), Json::num(jobs as f64)))
+                        .map(|(engine, &jobs)| (engine.to_string(), Json::num(jobs as f64)))
                         .collect(),
                 ),
             ),
@@ -549,7 +537,7 @@ mod tests {
         m.record_trace_lookup(true);
         m.record_trace_lookup(false);
         m.record_result_lookup(false);
-        m.record_engine(SimEngine::Sliced);
+        m.record_engine(SimEngine::Full);
         m.record_engine(SimEngine::Packed);
         m.record_engine(SimEngine::Packed);
         let cache = CacheStats { traces: 1, results: 0, bytes: 1024, capacity_bytes: 4096 };
@@ -566,9 +554,12 @@ mod tests {
         assert!(cov.get("latency").unwrap().get("p95_us").unwrap().as_u64().unwrap() > 0);
         assert_eq!(m.total_requests(), 3);
         let engines = snap.get("engines").unwrap();
-        assert_eq!(engines.get("full").unwrap().as_u64(), Some(0));
-        assert_eq!(engines.get("sliced").unwrap().as_u64(), Some(1));
+        assert_eq!(engines.get("full").unwrap().as_u64(), Some(1));
         assert_eq!(engines.get("packed").unwrap().as_u64(), Some(2));
+        assert!(
+            matches!(engines, Json::Obj(rows) if rows.len() == 2),
+            "one row per engine"
+        );
         // No coverage run recorded routing yet: ratio is null, not 0/0.
         let routing = snap.get("routing").unwrap();
         assert_eq!(routing.get("total").unwrap().as_u64(), Some(0));

@@ -14,8 +14,8 @@
 //! | `shutdown` | —                                                             |
 //!
 //! The optional `engine` field selects the fault-simulation engine:
-//! `"full"`, `"sliced"` (default) or `"packed"` — responses are
-//! byte-identical for every choice, only latency differs.
+//! `"packed"` (default) or `"full"` — responses are byte-identical for
+//! every choice, only latency differs.
 //!
 //! An optional `id` member is echoed back verbatim in the response so
 //! clients may correlate — on errors too, whenever the id was parseable
@@ -95,8 +95,7 @@ pub enum Request {
         max_elements: usize,
         /// Fan-out threads within the request (see [`Request::Coverage`]).
         jobs: Option<usize>,
-        /// Fault-simulation engine scoring candidates (packed by default —
-        /// this kind exists to exercise the packed oracle).
+        /// Fault-simulation engine scoring candidates.
         engine: SimEngine,
     },
     /// The paper's area tables — the CLI's `area`.
@@ -272,10 +271,7 @@ pub fn parse_request_value(value: &Json) -> Result<Envelope, ServiceError> {
                 )
                 .expect("u64 fits usize"),
                 jobs: jobs_from(value)?,
-                engine: match value.get("engine") {
-                    None | Some(Json::Null) => SimEngine::Packed,
-                    Some(_) => engine_from(value)?,
-                },
+                engine: engine_from(value)?,
             }
         }
         "area" => Request::Area {
@@ -349,12 +345,10 @@ fn jobs_from(value: &Json) -> Result<Option<usize>, ServiceError> {
 fn engine_from(value: &Json) -> Result<SimEngine, ServiceError> {
     match value.get("engine") {
         None | Some(Json::Null) => Ok(SimEngine::default()),
-        Some(v) => match v.as_str() {
-            Some("full") => Ok(SimEngine::Full),
-            Some("sliced") => Ok(SimEngine::Sliced),
-            Some("packed") => Ok(SimEngine::Packed),
-            _ => Err(usage("`engine` must be \"full\", \"sliced\" or \"packed\"")),
-        },
+        Some(v) => v
+            .as_str()
+            .and_then(SimEngine::parse_name)
+            .ok_or_else(|| usage("`engine` must be \"full\" or \"packed\"")),
     }
 }
 
@@ -455,24 +449,20 @@ mod tests {
                 assert_eq!(geometry, MemGeometry::bit_oriented(64));
                 assert_eq!(max_faults, Some(256));
                 assert_eq!(jobs, Some(1));
-                assert_eq!(engine, SimEngine::Sliced);
+                assert_eq!(engine, SimEngine::Packed);
             }
             other => panic!("wrong request: {other:?}"),
         }
     }
 
     #[test]
-    fn parses_every_engine_name() {
-        for (name, want) in [
-            ("full", SimEngine::Full),
-            ("sliced", SimEngine::Sliced),
-            ("packed", SimEngine::Packed),
-        ] {
+    fn parses_both_engine_names() {
+        for want in SimEngine::ALL {
             let line = format!(
-                r#"{{"kind":"coverage","test":"march-c","words":8,"engine":"{name}"}}"#
+                r#"{{"kind":"coverage","test":"march-c","words":8,"engine":"{want}"}}"#
             );
             match parse_request(&line).unwrap().request {
-                Request::Coverage { engine, .. } => assert_eq!(engine, want, "{name}"),
+                Request::Coverage { engine, .. } => assert_eq!(engine, want, "{want}"),
                 other => panic!("wrong request: {other:?}"),
             }
         }
@@ -647,14 +637,12 @@ mod tests {
                 assert_eq!(strategy, mbist_search::Strategy::Evolutionary);
                 assert_eq!(max_elements, 12);
                 assert_eq!(jobs, Some(1));
-                // synth_search defaults to the packed fitness oracle, not
-                // the coverage default of sliced.
                 assert_eq!(engine, SimEngine::Packed);
             }
             other => panic!("wrong request: {other:?}"),
         }
         let e = parse_request(
-            r#"{"kind":"synth_search","universe":"saf","strategy":"compose","target_coverage":95.5,"seed":9,"engine":"sliced"}"#,
+            r#"{"kind":"synth_search","universe":"saf","strategy":"compose","target_coverage":95.5,"seed":9,"engine":"full"}"#,
         )
         .unwrap();
         match e.request {
@@ -662,7 +650,7 @@ mod tests {
                 assert_eq!(strategy, mbist_search::Strategy::Composition);
                 assert!((target_coverage - 95.5).abs() < f64::EPSILON);
                 assert_eq!(seed, 9);
-                assert_eq!(engine, SimEngine::Sliced);
+                assert_eq!(engine, SimEngine::Full);
             }
             other => panic!("wrong request: {other:?}"),
         }

@@ -838,7 +838,7 @@ mod tests {
             geometry,
             max_faults: Some(256),
             jobs: Some(1),
-            engine: mbist_march::SimEngine::Sliced,
+            engine: mbist_march::SimEngine::Packed,
         };
         let k1 = placement_key(&shared, &cov("march-c", geometry));
         let k2 = placement_key(&shared, &cov("march-c", geometry));

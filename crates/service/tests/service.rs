@@ -91,7 +91,7 @@ fn exact_repeats_hit_the_result_memo_and_orderings_unify() {
             r#"{"kind":"coverage","test":"march-c","words":32}"#,
             // Same request, differently spelled: explicit defaults, shuffled
             // field order. Must be a full memo hit.
-            r#"{"jobs":1,"width":1,"words":32,"kind":"coverage","test":"march-c","max_faults":256,"engine":"sliced"}"#,
+            r#"{"jobs":1,"width":1,"words":32,"kind":"coverage","test":"march-c","max_faults":256,"engine":"packed"}"#,
             // Different jobs setting: output is identical, so the memo key
             // deliberately ignores it — still a hit.
             r#"{"kind":"coverage","test":"march-c","words":32,"jobs":3}"#,
@@ -261,6 +261,25 @@ fn malformed_lines_get_usage_errors_and_the_connection_survives() {
         );
     }
     assert!(text_of(&replies[4]).contains("Table 2"), "area table text");
+
+    server.shutdown();
+    let _ = server.join();
+}
+
+#[test]
+fn retired_sliced_engine_is_a_usage_error_with_the_id_echoed() {
+    let server = start(ServiceConfig::default());
+    let addr = server.local_addr();
+    let replies = roundtrip(
+        addr,
+        &[r#"{"id":41,"kind":"coverage","test":"march-c","words":8,"engine":"sliced"}"#],
+    );
+    assert_eq!(replies[0].get("id").and_then(Json::as_u64), Some(41));
+    assert_eq!(replies[0].get("ok").and_then(Json::as_bool), Some(false));
+    let error = replies[0].get("error").unwrap();
+    assert_eq!(error.get("class").and_then(Json::as_str), Some("usage"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("\"full\" or \"packed\""), "{message}");
 
     server.shutdown();
     let _ = server.join();

@@ -26,7 +26,7 @@ cargo test -q -p mbist-mem -p mbist-rtl -p mbist-logic -p mbist-core -p mbist-ma
 echo "==> parallel fault-simulation determinism regression"
 cargo test -q -p mbist-march --test parallel_determinism
 
-echo "==> cross-engine equivalence (full vs sliced vs packed)"
+echo "==> cross-engine equivalence (packed vs full, per-fault path vs full)"
 cargo test -q -p mbist-march --test engine_corpus
 cargo test -q -p mbist-march --test sliced_equivalence --features proptest
 
@@ -38,35 +38,24 @@ echo "==> coverage-engine perf smoke (std-only harness)"
 perf_out=$(cargo run --release -p mbist-bench --bin perf -- \
     --quick --out /tmp/BENCH_coverage_ci.json)
 echo "$perf_out"
-# every (test, geometry) pair must report cross-mode (incl. sliced vs
-# full) agreement on the detection count, with all eight modes (so the
-# packed engine is part of the agreement, not just the timed table)
-[ "$(echo "$perf_out" | grep -c "agreement OK (8 modes")" -eq 2 ] || {
-    echo "perf smoke missing eight-mode agreement lines"; exit 1; }
-echo "$perf_out" | grep -q "batchable subset: packed_vs_sliced_batchable" || {
-    echo "perf smoke missing the packed batchable-subset ratio"; exit 1; }
+# every (test, geometry) pair must report cross-mode agreement on the
+# detection count across all three modes (the full-replay oracle and the
+# packed engine serial and fanned out)
+[ "$(echo "$perf_out" | grep -c "agreement OK (3 modes")" -eq 2 ] || {
+    echo "perf smoke missing three-mode agreement lines"; exit 1; }
 # the per-class routing breakdown must account for every sampled fault
 echo "$perf_out" | grep -q ": routing OK (" || {
     echo "perf smoke missing the routing-breakdown accounting line"; exit 1; }
 # whole-run speedup floor: the packed engine under the fan-out must beat
-# the sliced engine under the same fan-out by at least 2x on the quick
-# configuration (the ratio the summary line reports)
+# the serial full-replay oracle by at least 10x on the quick configuration
+# (the ratio the summary line reports)
 packed_ratio=$(echo "$perf_out" \
-    | sed -n 's/.*packed_parallel_vs_sliced_parallel \([0-9.]*\)x.*/\1/p')
+    | sed -n 's/.*packed_parallel_vs_detect \([0-9.]*\)x.*/\1/p')
 [ -n "$packed_ratio" ] || {
-    echo "perf smoke missing packed_parallel_vs_sliced_parallel"; exit 1; }
-awk -v r="$packed_ratio" 'BEGIN { exit (r >= 2.0) ? 0 : 1 }' || {
-    echo "packed_parallel whole-run speedup $packed_ratio below 2.0x floor"
+    echo "perf smoke missing packed_parallel_vs_detect"; exit 1; }
+awk -v r="$packed_ratio" 'BEGIN { exit (r >= 10.0) ? 0 : 1 }' || {
+    echo "packed_parallel whole-run speedup $packed_ratio below 10.0x floor"
     exit 1; }
-
-echo "==> packed-engine perf smoke (sliced vs packed head-to-head)"
-packed_out=$(cargo run --release -p mbist-bench --bin perf -- \
-    --quick --modes sliced,packed --out /tmp/BENCH_packed_ci.json)
-echo "$packed_out"
-[ "$(echo "$packed_out" | grep -c "agreement OK (2 modes")" -eq 2 ] || {
-    echo "packed smoke missing sliced/packed agreement lines"; exit 1; }
-echo "$packed_out" | grep -q "batchable subset: packed_vs_sliced_batchable" || {
-    echo "packed smoke missing the batchable-subset comparison"; exit 1; }
 
 echo "==> search-synthesis smoke (fixed seed: converges, no longer than march-c)"
 synth_out=$(cargo run --release -p mbist-bench --bin synthsearch -- \
@@ -97,17 +86,17 @@ diff /tmp/BENCH_synth_ci.stable /tmp/BENCH_synth_ci2.stable > /dev/null || {
     echo "search re-run with the same seed diverged"; exit 1; }
 # ...and the CLI front-end honors the same determinism across --jobs
 # (batched speculation joins in candidate order) and across engines
-# (packed fast paths and the sliced reference count identically)
+# (packed fast paths and the full-replay oracle count identically)
 cli_a=$(cargo run -q --release -p mbist-cli -- synth-search \
     --universe saf,tf,cfid --words 32 --budget 300 --seed 9 --jobs 1)
 cli_b=$(cargo run -q --release -p mbist-cli -- synth-search \
     --universe saf,tf,cfid --words 32 --budget 300 --seed 9 --jobs 3)
 [ "$cli_a" = "$cli_b" ] || {
     echo "synth-search output differs across --jobs"; exit 1; }
-cli_sliced=$(cargo run -q --release -p mbist-cli -- synth-search \
-    --universe saf,tf,cfid --words 32 --budget 300 --seed 9 --engine sliced)
-[ "$cli_a" = "$cli_sliced" ] || {
-    echo "synth-search output differs between packed and sliced engines"; exit 1; }
+cli_full=$(cargo run -q --release -p mbist-cli -- synth-search \
+    --universe saf,tf,cfid --words 32 --budget 300 --seed 9 --engine full)
+[ "$cli_a" = "$cli_full" ] || {
+    echo "synth-search output differs between packed and full engines"; exit 1; }
 echo "$cli_a" | grep -q "converged" || {
     echo "synth-search smoke did not converge"; exit 1; }
 
