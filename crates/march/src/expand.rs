@@ -93,25 +93,45 @@ pub fn expand_into(
     options: &ExpandOptions,
     steps: &mut Vec<TestStep>,
 ) {
+    let passes = passes(geometry, options);
+    steps.clear();
+    steps.reserve(step_count(test, geometry, options));
+    for (port, bg) in passes {
+        expand_one_pass(test, geometry, port, bg, steps);
+    }
+}
+
+/// The passes of an expansion in stream order — ports outer, backgrounds
+/// inner — after the option checks [`expand_with`] panics on.
+pub(crate) fn passes<'a>(
+    geometry: &MemGeometry,
+    options: &'a ExpandOptions,
+) -> impl Iterator<Item = (PortId, Bits)> + 'a {
     for bg in &options.backgrounds {
         assert_eq!(bg.width(), geometry.width(), "background width mismatch");
     }
     for p in &options.ports {
         assert!(p.0 < geometry.ports(), "port {p} out of range");
     }
+    options
+        .ports
+        .iter()
+        .flat_map(|&port| options.backgrounds.iter().map(move |&bg| (port, bg)))
+}
 
+/// The length of an expansion: its [`cycle_count`] bus cycles plus one
+/// step per pause per pass.
+pub(crate) fn step_count(
+    test: &MarchTest,
+    geometry: &MemGeometry,
+    options: &ExpandOptions,
+) -> usize {
     let passes = options.ports.len() * options.backgrounds.len();
     let pauses =
         test.items().iter().filter(|i| matches!(i, MarchItem::Pause { .. })).count();
     let cycles = usize::try_from(cycle_count(test, geometry, options))
         .expect("cycle count fits usize");
-    steps.clear();
-    steps.reserve(cycles + pauses * passes);
-    for &port in &options.ports {
-        for &bg in &options.backgrounds {
-            expand_one_pass(test, geometry, port, bg, steps);
-        }
-    }
+    cycles + pauses * passes
 }
 
 fn expand_one_pass(

@@ -31,7 +31,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-use mbist_mem::{FaultKind, MemGeometry, MemoryArray, TestStep};
+use mbist_mem::{FaultKind, MemoryArray};
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_STRIDE};
 use crate::packed;
@@ -96,9 +96,10 @@ pub(crate) fn resolve_jobs(jobs: Option<usize>) -> usize {
 
 /// Compiles `steps` once and simulates every fault in `universe` against
 /// the trace, returning one detection flag per fault, in universe order.
-pub(crate) fn detect_universe(
-    geometry: &MemGeometry,
-    steps: &[TestStep],
+#[cfg(test)]
+fn detect_universe(
+    geometry: &mbist_mem::MemGeometry,
+    steps: &[mbist_mem::TestStep],
     universe: &[FaultKind],
     jobs: Option<usize>,
     engine: SimEngine,
@@ -256,7 +257,7 @@ mod tests {
     use super::*;
     use crate::expand::expand;
     use crate::library;
-    use mbist_mem::{class_universe, FaultClass, UniverseSpec};
+    use mbist_mem::{class_universe, FaultClass, MemGeometry, UniverseSpec};
 
     #[test]
     fn resolve_jobs_clamps_and_defaults() {

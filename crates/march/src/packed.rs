@@ -285,9 +285,9 @@ struct LaneSpec {
 /// Whether the packed engine simulates `fault` in a bit lane, as opposed
 /// to the per-fault path ([`detect_one`]) — the exact [`detect_chunk`]
 /// eligibility rule, and the basis of the routing breakdown in
-/// [`crate::coverage`]. The per-fault path may replay the flat step
-/// stream, so a scoring loop may compile steps-free traces
-/// ([`crate::trace::TraceArena::set_skip_steps`]) only when every universe
+/// [`crate::coverage`]. The per-fault path may read any word and the
+/// step stream, so a [`UniversePlan`] declares a support set — and lets
+/// its candidates compile support-restricted — only when every universe
 /// fault is lane-packable.
 pub(crate) fn lane_packable(fault: FaultKind) -> bool {
     lane_spec(fault).is_some()
@@ -973,110 +973,85 @@ impl Programs {
     }
 }
 
-/// O(1) batch route for a plain-shape fault, derived from the trace's
-/// compile-time word-content classes: faults with equal keys provably
-/// share an access program, so the per-fault cost of batching is one small
-/// hash lookup instead of rebuilding and hashing the fault's whole
-/// projected program.
+/// A fault's O(1) batch route on a monoclass trace — the key both the
+/// per-trace scheduler ([`detect_chunk`]) and the precomputed
+/// [`UniversePlan`] group faults by. Every word carries the same op
+/// content, so faults with equal keys provably share an access program,
+/// and batching a fault costs one small hash lookup instead of rebuilding
+/// and hashing its whole projected program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RouteKey {
-    class: LaneClass,
-    /// 0 = single cell, 1 = intra-word pair, 2 = inter-word pair with
-    /// victim at the lower address, 3 = with aggressor at the lower
-    /// address (2/3 only issued when the trace certifies address-uniform
-    /// interleave).
-    shape: u8,
-    vic_class: u32,
-    vic_bit: u8,
-    agg_class: u32,
-    agg_bit: u8,
+enum RouteKey {
+    Plain {
+        class: LaneClass,
+        /// 0 = single cell, 1 = intra-word pair, 2 = inter-word pair with
+        /// victim at the lower address, 3 = with aggressor at the lower
+        /// address (2/3 only issued when the trace certifies
+        /// address-uniform interleave).
+        shape: u8,
+        vic_bit: u8,
+        agg_bit: u8,
+    },
+    /// A five-cell NPSF fault under the address-uniform certificate: every
+    /// word's op list is one segment projection per march element, ordered
+    /// by address rank, so the merged projection of the five support words
+    /// — and with it the built program — depends only on their bit
+    /// positions, relative address order, and the activation parameters.
+    /// ~tens of keys cover a whole NPSF universe instead of one five-way
+    /// merge per fault.
+    Npsf {
+        class: LaneClass,
+        bits: [u8; 5],
+        /// Relative address rank of each support word among the five (the
+        /// words are pairwise distinct, so ranks are a permutation).
+        rank: [u8; 5],
+        pattern: u8,
+        rising: bool,
+    },
 }
 
-/// O(1) batch route for a five-cell NPSF fault under the address-uniform
-/// certificate: on a uniform trace every word's op list is one segment
-/// projection per march element, ordered by address rank, so the merged
-/// projection of the five support words — and with it the built program —
-/// depends only on their content classes, bit positions, relative address
-/// order, and the activation parameters. ~tens of keys cover a whole NPSF
-/// universe instead of one five-way merge per fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct NpsfRouteKey {
-    class: LaneClass,
-    classes: [u32; 5],
-    bits: [u8; 5],
-    /// Relative address rank of each support word among the five (the
-    /// words are pairwise distinct, so ranks are a permutation).
-    rank: [u8; 5],
-    pattern: u8,
-    rising: bool,
-}
-
-/// How the scheduler resolves a fault's program.
-enum Route {
-    Plain(RouteKey),
-    Npsf(NpsfRouteKey),
-    /// No uniform shortcut: build via the [`BuildKey`] memo (cheap —
-    /// stuck-open and decay builds walk one op list, and non-uniform
-    /// traces are the slow path anyway).
-    Keyed,
-}
-
-fn route_of(trace: &CompiledTrace, spec: &LaneSpec, uniform: bool) -> Route {
+/// The route of `spec` on a monoclass trace (`uniform`: whether it also
+/// certifies address-uniform interleave), or `None` when the program must
+/// be resolved through the [`BuildKey`] memo instead: inter-word pairs
+/// and NPSF without the uniform certificate, and the stuck-open/decay
+/// families, whose programs fold by content, not by a trace-independent
+/// key (cheap — their builds walk one op list).
+fn route_of(spec: &LaneSpec, uniform: bool) -> Option<RouteKey> {
     match spec.class {
         LaneClass::StuckAt
         | LaneClass::Transition
         | LaneClass::CouplingInversion
         | LaneClass::CouplingIdempotent
         | LaneClass::CouplingState => {
-            let key = match spec.agg {
-                None => RouteKey {
-                    class: spec.class,
-                    shape: 0,
-                    vic_class: trace.word_class(spec.vic.word),
-                    vic_bit: spec.vic.bit,
-                    agg_class: 0,
-                    agg_bit: 0,
-                },
-                Some(a) if a.word == spec.vic.word => RouteKey {
-                    class: spec.class,
-                    shape: 1,
-                    vic_class: trace.word_class(spec.vic.word),
-                    vic_bit: spec.vic.bit,
-                    agg_class: 0,
-                    agg_bit: a.bit,
-                },
-                Some(a) if uniform => RouteKey {
-                    class: spec.class,
-                    shape: if spec.vic.word < a.word { 2 } else { 3 },
-                    vic_class: trace.word_class(spec.vic.word),
-                    vic_bit: spec.vic.bit,
-                    agg_class: trace.word_class(a.word),
-                    agg_bit: a.bit,
-                },
-                Some(_) => return Route::Keyed,
+            let (shape, agg_bit) = match spec.agg {
+                None => (0, 0),
+                Some(a) if a.word == spec.vic.word => (1, a.bit),
+                Some(a) if uniform => (if spec.vic.word < a.word { 2 } else { 3 }, a.bit),
+                Some(_) => return None,
             };
-            Route::Plain(key)
+            Some(RouteKey::Plain {
+                class: spec.class,
+                shape,
+                vic_bit: spec.vic.bit,
+                agg_bit,
+            })
         }
         LaneClass::NpsfStatic | LaneClass::NpsfActive if uniform => {
             let shape = spec.npsf.as_ref().expect("npsf shape");
-            let mut classes = [0u32; 5];
             let mut bits = [0u8; 5];
             let mut rank = [0u8; 5];
             for (i, c) in shape.cells.iter().enumerate() {
-                classes[i] = trace.word_class(c.word);
                 bits[i] = c.bit;
                 rank[i] = shape.cells.iter().filter(|o| o.word < c.word).count() as u8;
             }
-            Route::Npsf(NpsfRouteKey {
+            Some(RouteKey::Npsf {
                 class: spec.class,
-                classes,
                 bits,
                 rank,
                 pattern: shape.pattern,
                 rising: shape.rising,
             })
         }
-        _ => Route::Keyed,
+        _ => None,
     }
 }
 
@@ -1100,10 +1075,9 @@ pub(crate) fn detect_chunk(
     // batches. A full batch is replaced by a fresh one on the next hit.
     let mut routed: HashMap<RouteKey, (usize, bool), FnvBuild> =
         HashMap::with_hasher(FnvBuild);
-    let mut routed_npsf: HashMap<NpsfRouteKey, (usize, bool), FnvBuild> =
-        HashMap::with_hasher(FnvBuild);
     let mut open: HashMap<(LaneClass, usize), usize, FnvBuild> =
         HashMap::with_hasher(FnvBuild);
+    let monoclass = trace.monoclass();
     let uniform = trace.uniform_interleave();
     let miscompares = trace.golden_miscompares();
     let ports = trace.geometry().ports();
@@ -1118,16 +1092,13 @@ pub(crate) fn detect_chunk(
             flags[index] = detect_one(trace, fault, scratch);
             continue;
         };
-        let (program, flipped) = match route_of(trace, &spec, uniform) {
-            Route::Plain(key) => match routed.entry(key) {
+        let route = if monoclass { route_of(&spec, uniform) } else { None };
+        let (program, flipped) = match route {
+            Some(key) => match routed.entry(key) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => *e.insert(programs.id_for_content(trace, &spec)),
             },
-            Route::Npsf(key) => match routed_npsf.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => *e.insert(programs.id_for_content(trace, &spec)),
-            },
-            Route::Keyed => programs.id_for(trace, &spec),
+            None => programs.id_for(trace, &spec),
         };
         let slot = match open.entry((spec.class, program)) {
             Entry::Occupied(mut e) => refill(&mut batches, e.get_mut(), spec.class),
@@ -1163,77 +1134,6 @@ fn refill(batches: &mut Vec<Batch>, slot: &mut usize, class: LaneClass) -> usize
     *slot
 }
 
-/// The trace-independent batch route of a fault under the *planned
-/// signature* — address-uniform interleave, one word-content class,
-/// clean golden replay. Every word class is provably 0 then, so the route
-/// key [`route_of`] would compute is a function of the fault alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PlanKey {
-    Plain(RouteKey),
-    Npsf(NpsfRouteKey),
-}
-
-/// [`route_of`] specialized to the planned signature (`word_class ≡ 0`,
-/// `uniform = true`), computable without a trace. Returns `None` for
-/// faults the plan scores through [`detect_chunk`] instead: decoder
-/// faults, overlapping NPSF shapes, and the stuck-open/decay families
-/// (their programs fold by content, not by a trace-independent key).
-fn plan_route(spec: &LaneSpec) -> Option<PlanKey> {
-    match spec.class {
-        LaneClass::StuckAt
-        | LaneClass::Transition
-        | LaneClass::CouplingInversion
-        | LaneClass::CouplingIdempotent
-        | LaneClass::CouplingState => {
-            let key = match spec.agg {
-                None => RouteKey {
-                    class: spec.class,
-                    shape: 0,
-                    vic_class: 0,
-                    vic_bit: spec.vic.bit,
-                    agg_class: 0,
-                    agg_bit: 0,
-                },
-                Some(a) if a.word == spec.vic.word => RouteKey {
-                    class: spec.class,
-                    shape: 1,
-                    vic_class: 0,
-                    vic_bit: spec.vic.bit,
-                    agg_class: 0,
-                    agg_bit: a.bit,
-                },
-                Some(a) => RouteKey {
-                    class: spec.class,
-                    shape: if spec.vic.word < a.word { 2 } else { 3 },
-                    vic_class: 0,
-                    vic_bit: spec.vic.bit,
-                    agg_class: 0,
-                    agg_bit: a.bit,
-                },
-            };
-            Some(PlanKey::Plain(key))
-        }
-        LaneClass::NpsfStatic | LaneClass::NpsfActive => {
-            let shape = spec.npsf.as_ref().expect("npsf shape");
-            let mut bits = [0u8; 5];
-            let mut rank = [0u8; 5];
-            for (i, c) in shape.cells.iter().enumerate() {
-                bits[i] = c.bit;
-                rank[i] = shape.cells.iter().filter(|o| o.word < c.word).count() as u8;
-            }
-            Some(PlanKey::Npsf(NpsfRouteKey {
-                class: spec.class,
-                classes: [0; 5],
-                bits,
-                rank,
-                pattern: shape.pattern,
-                rising: shape.rising,
-            }))
-        }
-        LaneClass::StuckOpen | LaneClass::Decay => None,
-    }
-}
-
 /// One batch of a [`UniversePlan`]: raw (never-flipped) lane masks, ready
 /// to be re-based by the group's canonicalization flip at scoring time.
 struct PlanSlot {
@@ -1249,6 +1149,22 @@ struct PlanGroup {
     slots: Vec<PlanSlot>,
 }
 
+/// A trace as a [`UniversePlan`] reads it: either a complete
+/// [`CompiledTrace`] (every complete trace converts), or a
+/// support-restricted compile from
+/// [`TraceArena::compile_support`](crate::trace::TraceArena::compile_support),
+/// whose per-word op lists cover only the plan's support words and which
+/// carries no step stream. Only [`UniversePlan::count_detected`] accepts
+/// it, and the wrapped trace is private to this module, so no other
+/// engine can read a partial trace.
+pub(crate) struct SupportTrace<'a>(&'a CompiledTrace);
+
+impl<'a> From<&'a CompiledTrace> for SupportTrace<'a> {
+    fn from(trace: &'a CompiledTrace) -> Self {
+        Self(trace)
+    }
+}
+
 /// A fault universe pre-batched for repeated scoring against many traces
 /// of one shape — the synthesis hot path, where thousands of candidate
 /// traces are scored against one fixed universe.
@@ -1256,13 +1172,13 @@ struct PlanGroup {
 /// [`detect_chunk`] spends most of a scoring call on per-fault routing
 /// (a `lane_spec` lowering plus a hash lookup per fault) and per-call map
 /// allocation, all of which produce the *same* grouping for every
-/// candidate: search candidates expand to single-background single-port
-/// march streams, which are address-uniform with one word-content class
-/// and a clean golden replay. Under that signature (checked by
-/// [`Self::applies`]) the batch route of every plain and NPSF fault is a
-/// function of the fault alone, so the grouping — lane order, per-lane
-/// constant masks, batch membership — is computed once here and replayed
-/// against each candidate with just one program build per group and one
+/// candidate: every expanded march is monoclass, address-uniform on three
+/// or more words, and — for canonical candidates — clean. Under that
+/// signature (checked by [`Self::applies`]) the batch route of every plain
+/// and NPSF fault is a function of the fault alone ([`route_of`] with
+/// `uniform = true`), so the grouping — lane order, per-lane constant
+/// masks, batch membership — is computed once here and replayed against
+/// each candidate with just one program build per group and one
 /// [`run_batch`] per slot.
 ///
 /// Stuck-open, decay, decoder and overlapping-NPSF faults keep their
@@ -1274,6 +1190,12 @@ pub(crate) struct UniversePlan {
     groups: Vec<PlanGroup>,
     /// Faults scored through [`detect_chunk`] (in universe order).
     rest: Vec<FaultKind>,
+    /// The words whose op lists [`Self::count_detected`] reads, when every
+    /// universe fault lane-packs: the support cells of each group's
+    /// representative (programs are built once per group from it) plus
+    /// every cell of the rest. `None` when some fault takes the per-fault
+    /// path, which may read any word and the step stream.
+    support: Option<Vec<bool>>,
 }
 
 impl UniversePlan {
@@ -1281,14 +1203,14 @@ impl UniversePlan {
     /// planned signature.
     pub(crate) fn new(geometry: mbist_mem::MemGeometry, universe: &[FaultKind]) -> Self {
         let mut groups: Vec<PlanGroup> = Vec::new();
-        let mut by_key: HashMap<PlanKey, usize, FnvBuild> = HashMap::with_hasher(FnvBuild);
+        let mut by_key: HashMap<RouteKey, usize, FnvBuild> = HashMap::with_hasher(FnvBuild);
         let mut rest = Vec::new();
         for &fault in universe {
             let Some(spec) = lane_spec(fault) else {
                 rest.push(fault);
                 continue;
             };
-            let Some(key) = plan_route(&spec) else {
+            let Some(key) = route_of(&spec, true) else {
                 rest.push(fault);
                 continue;
             };
@@ -1308,51 +1230,31 @@ impl UniversePlan {
             // time, pre-detection is impossible under a clean golden replay.
             slot.masks.push(&spec, false, false);
         }
-        Self { geometry, groups, rest }
+        let reps = groups.iter().map(|g| g.rep).chain(rest.iter().copied());
+        let specs: Option<Vec<LaneSpec>> = reps.map(lane_spec).collect();
+        let support = specs.map(|specs| {
+            let mut mask =
+                vec![false; usize::try_from(geometry.words()).expect("words fit")];
+            for spec in specs {
+                let npsf = spec.npsf.iter().flat_map(|shape| shape.cells);
+                for cell in std::iter::once(spec.vic).chain(spec.agg).chain(npsf) {
+                    mask[usize::try_from(cell.word).expect("word fits usize")] = true;
+                }
+            }
+            mask
+        });
+        Self { geometry, groups, rest, support }
     }
 
-    /// Which words' per-word op lists [`Self::count_detected`] reads: the
-    /// support cells of each group's representative (programs are built
-    /// once per group from the representative's cells) plus every cell of
-    /// the ungrouped rest. A scoring loop may compile traces with only
-    /// these words' op lists populated
-    /// ([`crate::trace::TraceArena::set_word_support`]) — but such traces
-    /// are valid ONLY for [`Self::count_detected`], never for the general
-    /// per-fault engines, which read arbitrary fault cells.
-    pub(crate) fn support_mask(&self) -> Vec<bool> {
-        let words = usize::try_from(self.geometry.words()).expect("words fit usize");
-        let mut mask = vec![false; words];
-        let mark = |mask: &mut Vec<bool>, fault: FaultKind| match lane_spec(fault) {
-            Some(spec) => {
-                mask[usize::try_from(spec.vic.word).expect("word fits usize")] = true;
-                if let Some(agg) = spec.agg {
-                    mask[usize::try_from(agg.word).expect("word fits usize")] = true;
-                }
-                if let Some(shape) = spec.npsf {
-                    for cell in shape.cells {
-                        mask[usize::try_from(cell.word).expect("word fits usize")] = true;
-                    }
-                }
-                false
-            }
-            // Non-packable faults take the per-fault fallback, which
-            // replays arbitrary words: the whole array is support.
-            None => true,
-        };
-        for group in &self.groups {
-            let _ = mark(&mut mask, group.rep);
-        }
-        for &fault in &self.rest {
-            if mark(&mut mask, fault) {
-                return vec![true; words];
-            }
-        }
-        mask
+    /// The support set a [`SupportTrace`] for this plan must cover (see
+    /// the field doc); `None` asks for complete traces.
+    pub(crate) fn support(&self) -> Option<&[bool]> {
+        self.support.as_deref()
     }
 
     /// Whether the plan's soundness preconditions hold for `trace` (same
     /// geometry, address-uniform, one content class, clean golden replay).
-    pub(crate) fn applies(&self, trace: &CompiledTrace) -> bool {
+    fn applies(&self, trace: &CompiledTrace) -> bool {
         trace.geometry() == self.geometry
             && trace.uniform_interleave()
             && trace.monoclass()
@@ -1362,21 +1264,22 @@ impl UniversePlan {
     /// Counts the universe's detected faults against `trace` using the
     /// precomputed batching, with the same early-exit cap semantics as
     /// [`CompiledTrace::count_detected`]: a reached cap returns exactly
-    /// `stop_after`, otherwise the exact total.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Self::applies`] is false for `trace`.
+    /// `stop_after`, otherwise the exact total. `None` when the plan's
+    /// signature does not hold for the trace — the caller then scores a
+    /// complete trace through the general engine.
     pub(crate) fn count_detected(
         &self,
-        trace: &CompiledTrace,
+        trace: SupportTrace<'_>,
         stop_after: Option<usize>,
         scratch: &mut WorkerScratch,
-    ) -> usize {
-        assert!(self.applies(trace), "universe plan preconditions violated");
+    ) -> Option<usize> {
+        let trace = trace.0;
+        if !self.applies(trace) {
+            return None;
+        }
         let stop = stop_after.unwrap_or(usize::MAX);
         if stop == 0 {
-            return 0;
+            return Some(0);
         }
         let ports = trace.geometry().ports();
         let mut programs = Programs::default();
@@ -1389,7 +1292,7 @@ impl UniversePlan {
                 let masks = slot.masks.flip_corrected(flipped);
                 count += run_batch(program, &masks, ports).count();
                 if count >= stop {
-                    return stop;
+                    return Some(stop);
                 }
             }
         }
@@ -1397,10 +1300,10 @@ impl UniversePlan {
             let flags = detect_chunk(trace, chunk, scratch, &CancelToken::none());
             count += flags.iter().filter(|&&f| f).count();
             if count >= stop {
-                return stop;
+                return Some(stop);
             }
         }
-        count
+        Some(count)
     }
 }
 
@@ -1672,16 +1575,17 @@ mod tests {
             assert!(plan.applies(&trace), "{}: signature must hold", test.name());
             let total = trace.count_detected(&universe, SimEngine::Packed, None);
             let mut scratch = WorkerScratch::default();
+            let mut planned = |cap| plan.count_detected((&trace).into(), cap, &mut scratch);
             assert_eq!(
-                plan.count_detected(&trace, None, &mut scratch),
-                total,
+                planned(None),
+                Some(total),
                 "{}: planned total diverges",
                 test.name()
             );
             for cap in [0, 1, total.saturating_sub(1), total, total + 10] {
                 assert_eq!(
-                    plan.count_detected(&trace, Some(cap), &mut scratch),
-                    total.min(cap),
+                    planned(Some(cap)),
+                    Some(total.min(cap)),
                     "{}: cap {cap}",
                     test.name()
                 );

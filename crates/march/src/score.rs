@@ -73,16 +73,9 @@ pub struct CandidateBatchScorer {
     universe: Vec<FaultKind>,
     engine: SimEngine,
     /// Precomputed packed batching (`None` for the full engine — per-trace
-    /// eligibility is still re-checked per candidate).
+    /// eligibility is still re-checked per candidate). Worker arenas
+    /// compile candidates for it support-restricted when it allows.
     plan: Option<UniversePlan>,
-    /// Whether worker arenas may skip the flat step stream: only the
-    /// packed engine with a fully lane-packable universe never replays it.
-    steps_free: bool,
-    /// Words whose per-word op lists the plan actually reads
-    /// ([`UniversePlan::support_mask`]); worker arenas compile only these
-    /// when the plan path is taken, and densely recompile for the rare
-    /// candidate the plan declines.
-    support: Option<Vec<bool>>,
     workers: Vec<EvalWorker>,
 }
 
@@ -99,22 +92,7 @@ impl CandidateBatchScorer {
             SimEngine::Packed => Some(UniversePlan::new(geometry, &universe)),
             SimEngine::Full => None,
         };
-        let steps_free = engine == SimEngine::Packed
-            && universe.iter().all(|&f| crate::packed::lane_packable(f));
-        let support = match (&plan, steps_free) {
-            (Some(plan), true) => Some(plan.support_mask()),
-            _ => None,
-        };
-        Self {
-            geometry,
-            expand,
-            universe,
-            engine,
-            plan,
-            steps_free,
-            support,
-            workers: Vec::new(),
-        }
+        Self { geometry, expand, universe, engine, plan, workers: Vec::new() }
     }
 
     /// The fault universe candidates are scored against.
@@ -160,7 +138,6 @@ impl CandidateBatchScorer {
             &self.universe,
             self.engine,
             self.plan.as_ref(),
-            self.support.as_deref(),
             stop_after,
             &mut self.workers[0],
         )
@@ -201,11 +178,9 @@ impl CandidateBatchScorer {
         let workers =
             resolve_jobs(jobs).min(tests.len() / MIN_CANDIDATES_PER_WORKER).max(1);
         self.ensure_workers(workers);
-        let Self {
-            geometry, expand, universe, engine, plan, support, workers: pool, ..
-        } = self;
+        let Self { geometry, expand, universe, engine, plan, workers: pool } = self;
         let (geometry, expand, universe) = (&*geometry, &*expand, &universe[..]);
-        let (engine, plan, support) = (*engine, plan.as_ref(), support.as_deref());
+        let (engine, plan) = (*engine, plan.as_ref());
         if workers == 1 {
             let worker = &mut pool[0];
             for &idx in &order {
@@ -219,7 +194,6 @@ impl CandidateBatchScorer {
                     universe,
                     engine,
                     plan,
-                    support,
                     stop_after,
                     worker,
                 ));
@@ -245,7 +219,6 @@ impl CandidateBatchScorer {
                                 universe,
                                 engine,
                                 plan,
-                                support,
                                 stop_after,
                                 worker,
                             ));
@@ -267,10 +240,7 @@ impl CandidateBatchScorer {
 
     fn ensure_workers(&mut self, n: usize) {
         while self.workers.len() < n {
-            let mut worker = EvalWorker::default();
-            worker.arena.set_skip_steps(self.steps_free);
-            worker.arena.set_word_support(self.support.clone());
-            self.workers.push(worker);
+            self.workers.push(EvalWorker::default());
         }
     }
 }
@@ -321,37 +291,26 @@ fn score_candidate(
     universe: &[FaultKind],
     engine: SimEngine,
     plan: Option<&UniversePlan>,
-    support: Option<&[bool]>,
     stop_after: Option<usize>,
     worker: &mut EvalWorker,
 ) -> usize {
     let t0 = Instant::now();
-    let trace = worker.arena.compile(test, geometry, expand);
-    let t1 = Instant::now();
-    let detected = match plan {
-        Some(plan) if plan.applies(trace) => {
-            plan.count_detected(trace, stop_after, &mut worker.scratch)
-        }
-        _ if support.is_some() => {
-            // The arena compiled a support-restricted trace, but this
-            // candidate declined the plan (golden miscompares, or a
-            // geometry too small for the uniform certificate): the general
-            // engine reads arbitrary words, so recompile complete. The
-            // search never produces such candidates (canonical tests
-            // replay clean), so the double compile stays off the hot path.
-            worker.arena.set_word_support(None);
-            let dense = worker.arena.compile(test, geometry, expand);
-            let detected = dense.count_detected_with(
-                universe,
-                engine,
-                stop_after,
-                &mut worker.scratch,
-            );
-            worker.arena.set_word_support(support.map(<[bool]>::to_vec));
-            detected
-        }
-        _ => trace.count_detected_with(universe, engine, stop_after, &mut worker.scratch),
-    };
+    let mut t1 = t0;
+    let planned = plan.and_then(|plan| {
+        let trace = worker.arena.compile_support(test, geometry, expand, plan);
+        t1 = Instant::now();
+        plan.count_detected(trace, stop_after, &mut worker.scratch)
+    });
+    // When the plan declines the candidate (golden miscompares, or a
+    // geometry too small for the uniform certificate), the general engine
+    // reads arbitrary words, so it gets a complete compile. The search
+    // never produces such candidates (canonical tests replay clean), so the
+    // second compile stays off the hot path.
+    let detected = planned.unwrap_or_else(|| {
+        let trace = worker.arena.compile(test, geometry, expand);
+        t1 = Instant::now();
+        trace.count_detected_with(universe, engine, stop_after, &mut worker.scratch)
+    });
     worker.compile_ns += u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
     worker.simulate_ns += u64::try_from(t1.elapsed().as_nanos()).unwrap_or(u64::MAX);
     detected
@@ -364,29 +323,51 @@ mod tests {
     use crate::trace::CompiledTrace;
     use mbist_mem::{subset_universe, FaultClass, UniverseSpec};
 
+    fn scorer_on(
+        engine: SimEngine,
+        g: MemGeometry,
+        classes: &[FaultClass],
+    ) -> CandidateBatchScorer {
+        let universe = subset_universe(&g, classes, &UniverseSpec::default(), 48);
+        CandidateBatchScorer::new(g, ExpandOptions::for_geometry(&g), universe, engine)
+    }
+
     fn scorer(engine: SimEngine, words: u64) -> CandidateBatchScorer {
-        let g = MemGeometry::bit_oriented(words);
-        let universe = subset_universe(&g, &FaultClass::ALL, &UniverseSpec::default(), 48);
-        CandidateBatchScorer::new(g, ExpandOptions::minimal(&g), universe, engine)
+        scorer_on(engine, MemGeometry::bit_oriented(words), &FaultClass::ALL)
+    }
+
+    /// Every fault class but AF: the whole universe lane-packs, so the
+    /// packed scorer compiles candidates support-restricted.
+    fn packable() -> Vec<FaultClass> {
+        FaultClass::ALL.into_iter().filter(|&c| c != FaultClass::AddressDecoder).collect()
     }
 
     #[test]
     fn batch_scores_equal_serial_reference_for_every_engine() {
+        // Bit-oriented single-pass candidates, and word-oriented two-port
+        // ones that compile one pass per port × background; universes with
+        // AF (complete compiles) and without (support-restricted ones).
         let batch: Vec<MarchTest> = library::all();
-        for engine in SimEngine::ALL {
-            let mut s = scorer(engine, 16);
-            let reference: Vec<usize> = batch
-                .iter()
-                .map(|t| {
-                    let trace =
-                        CompiledTrace::compile(t, &s.geometry(), s.expand_options());
-                    trace.count_detected(s.universe(), engine, None)
-                })
-                .collect();
-            for jobs in [Some(1), Some(3), Some(16)] {
-                let got = s.score_batch(&batch, jobs, None, &CancelToken::none());
-                let got: Vec<usize> = got.into_iter().map(|s| s.unwrap()).collect();
-                assert_eq!(got, reference, "{engine:?} jobs {jobs:?}");
+        for g in [MemGeometry::bit_oriented(16), MemGeometry::new(8, 4, 2)] {
+            for classes in [FaultClass::ALL.to_vec(), packable()] {
+                for engine in SimEngine::ALL {
+                    let mut s = scorer_on(engine, g, &classes);
+                    let reference: Vec<usize> = batch
+                        .iter()
+                        .map(|t| {
+                            let trace = CompiledTrace::compile(t, &g, s.expand_options());
+                            trace.count_detected(s.universe(), engine, None)
+                        })
+                        .collect();
+                    for jobs in [Some(1), Some(3), Some(16)] {
+                        let got = s.score_batch(&batch, jobs, None, &CancelToken::none());
+                        let got: Vec<usize> = got.into_iter().map(|s| s.unwrap()).collect();
+                        assert_eq!(
+                            got, reference,
+                            "{g} {classes:?} {engine:?} jobs {jobs:?}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -415,9 +396,9 @@ mod tests {
         use crate::op::MarchOp;
         // A read expecting `1` against a zeroed array replays with golden
         // miscompares, so the packed plan declines the candidate and the
-        // scorer must recompile reference-complete for the general engine
-        // — interleaved with clean candidates to exercise the support
-        // restore in between.
+        // scorer must recompile complete for the general engine —
+        // interleaved with clean candidates, whose compiles are
+        // support-restricted again.
         let dirty = MarchTest::new(
             "dirty",
             vec![MarchItem::Element(MarchElement::new(
@@ -425,8 +406,12 @@ mod tests {
                 vec![MarchOp::Read(true), MarchOp::Write(true)],
             ))],
         );
-        for words in [2, 16] {
-            let mut s = scorer(SimEngine::Packed, words);
+        let universes = [FaultClass::ALL.to_vec(), packable()];
+        for (words, classes) in
+            [2, 16].into_iter().flat_map(|w| universes.iter().map(move |c| (w, c)))
+        {
+            let mut s =
+                scorer_on(SimEngine::Packed, MemGeometry::bit_oriented(words), classes);
             let batch =
                 vec![library::march_c(), dirty.clone(), library::mats(), dirty.clone()];
             let reference: Vec<usize> = batch
@@ -439,7 +424,7 @@ mod tests {
                 .collect();
             let got = s.score_batch(&batch, Some(1), None, &CancelToken::none());
             let got: Vec<usize> = got.into_iter().map(|s| s.unwrap()).collect();
-            assert_eq!(got, reference, "{words} words");
+            assert_eq!(got, reference, "{words} words, {classes:?}");
         }
     }
 

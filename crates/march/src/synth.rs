@@ -15,12 +15,11 @@ use mbist_mem::{class_universe, FaultClass, FaultKind, MemGeometry, MemoryArray}
 use crate::coverage::{stride_sample, CoverageOptions};
 use crate::element::{AddressOrder, MarchElement, MarchItem};
 use crate::expand::{expand_with, ExpandOptions};
-use crate::fanout::detect_universe;
-use crate::fanout::WorkerScratch;
+use crate::fanout::{detect_universe_trace, WorkerScratch};
 use crate::op::MarchOp;
 use crate::runner::run_steps_detect;
 use crate::test::MarchTest;
-use crate::trace::TraceArena;
+use crate::trace::{CompiledTrace, TraceArena};
 
 /// Options for the synthesis search.
 #[derive(Debug, Clone)]
@@ -141,8 +140,8 @@ pub fn synthesize_march(name: &str, options: &SynthesisOptions) -> SynthesizedMa
     // check it and discard.
     let cancel = &options.coverage.cancel;
     let detect_flags = |test: &MarchTest, list: &[FaultKind]| -> Vec<bool> {
-        let steps = expand_with(test, &g, &expand_opts);
-        detect_universe(&g, &steps, list, jobs, engine, cancel)
+        let trace = CompiledTrace::compile(test, &g, &expand_opts);
+        detect_universe_trace(&trace, list, jobs, engine, cancel)
     };
     let clean = |test: &MarchTest| -> bool {
         let mut mem = MemoryArray::new(g);

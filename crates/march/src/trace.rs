@@ -1,26 +1,29 @@
-//! Compiled step traces for sliced differential fault simulation.
+//! Compiled traces: one compiler for every stream the fault engines replay.
 //!
-//! [`CompiledTrace`] compiles an expanded step stream once per
-//! `(test, geometry)`: one fault-free golden replay produces per-address op
-//! lists with precomputed access timestamps (pause-adjusted simulated time)
-//! and golden read values. A single address-local fault is then simulated
-//! by replaying only the ops that touch its support set
-//! ([`FaultKind::support`]) against O(|support|) sparse state — see
-//! [`crate::sliced`] — instead of paying an O(words) array allocation and
-//! an O(stream) replay per fault.
+//! A [`CompiledTrace`] is a test stream replayed once, fault-free, and
+//! filed per word: each access with its step index, port, pause-adjusted
+//! timestamp, golden read value and the port's previous read. The packed
+//! engine ([`crate::packed`]) reads the per-word op lists, the golden
+//! miscompares and two certificates — `monoclass` and
+//! `uniform_interleave` — that route a fault to a shared access program in
+//! O(1); the per-fault path ([`crate::sliced`]) replays the op lists of a
+//! fault's support words; full replay ([`CompiledTrace::detect_full`]),
+//! the oracle, replays the step stream on a fault-injected memory array.
 //!
-//! The differential argument: a single fault with support set S can only
-//! make the cells in S deviate from the golden trace (every fault effect
-//! reads and writes cells of S only), so every access outside S behaves
-//! exactly as the golden replay, and detection is decided by the golden
-//! miscompares (outside S) plus a sparse replay of the accesses to S.
-//! Address-decoder faults, whose support is the two remapped words rather
-//! than a cell neighborhood, replay those two words' merged op streams
-//! ([`FaultKind::decoder_words`]); only faults with neither a support set
-//! nor a decoder word pair fall back to the full replay, which stays
-//! available as the differential-testing oracle.
-
-use std::collections::HashMap;
+//! One element-wise core compiles every march test: it walks the items
+//! once per pass (port × data background, in expansion order) against the
+//! fault-free word value, which a march keeps equal at every address.
+//! [`CompiledTrace::compile`] runs it once into exactly presized buffers;
+//! [`TraceArena::compile`] checkpoints the first pass's item boundaries,
+//! so a candidate sharing an item prefix replays only its tail; and
+//! [`TraceArena::compile_support`] records only a [`UniversePlan`]'s
+//! support words and no step stream, as a [`SupportTrace`] only the plan
+//! accepts. Hand-made streams enter through [`CompiledTrace::from_steps`],
+//! which validates each step, feeds the same per-access recorder and
+//! parses the stream for the certificates. On expanded marches `compile` ≡
+//! `from_steps(expand_with(..))` field for field, and both match a
+//! fault-free memory-array replay — the reference the compiler is
+//! tested against.
 
 use mbist_mem::{
     BusCycle, FaultKind, MemGeometry, MemoryArray, Operation, PortId, TestStep,
@@ -29,8 +32,9 @@ use mbist_mem::{
 
 use mbist_rtl::Bits;
 
-use crate::element::{MarchElement, MarchItem};
-use crate::expand::{expand_into, expand_with, ExpandOptions};
+use crate::element::MarchItem;
+use crate::expand::{cycle_count, expand_with, passes, step_count, ExpandOptions};
+use crate::packed::{SupportTrace, UniversePlan};
 use crate::runner::run_steps_detect;
 use crate::sliced;
 use crate::test::MarchTest;
@@ -244,32 +248,10 @@ impl std::hash::Hasher for FnvHasher {
     }
 }
 
-/// Folds one op's content projection — the `(kind, data, expected,
-/// golden)` tuple, exactly what `packed::build_program` reads — into a
-/// running FNV word-content hash. Tags make the framing unambiguous.
-#[inline]
-fn mix_op_content(h: &mut u64, kind: &TraceOpKind) {
-    let mut mix = |v: u64| *h = (*h ^ v).wrapping_mul(Fnv1a::PRIME);
-    match *kind {
-        TraceOpKind::Write(data) => {
-            mix(0);
-            mix(data);
-        }
-        TraceOpKind::Read { expected: None, golden, .. } => {
-            mix(1);
-            mix(golden);
-        }
-        TraceOpKind::Read { expected: Some(e), golden, .. } => {
-            mix(2);
-            mix(e);
-            mix(golden);
-        }
-    }
-}
-
-/// Whether two op lists carry the identical content projection (the exact
-/// congruence the word-class ids certify — timestamps, ports and sense
-/// history are deliberately not part of it).
+/// Whether two op lists carry the identical content projection — the
+/// `(kind, data, expected, golden)` sequence the packed engine builds its
+/// access programs from. Timestamps, ports and sense history are
+/// deliberately not part of it.
 fn projection_eq(a: &[TraceOp], b: &[TraceOp]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| match (x.kind, y.kind) {
@@ -280,36 +262,6 @@ fn projection_eq(a: &[TraceOp], b: &[TraceOp]) -> bool {
             ) => ea == eb && ga == gb,
             _ => false,
         })
-}
-
-/// Interns each word's op-list content into a dense class id (ids in
-/// first-occurrence order). Two words with the same id provably yield
-/// identical packed access programs for any bit position: the incremental
-/// content hashes only bucket candidates — congruence always comes from
-/// the full [`projection_eq`] comparison, so hash quality can never
-/// change a class assignment.
-fn intern_word_classes(per_word: &[Vec<TraceOp>], hashes: &[u64]) -> Vec<u32> {
-    let mut buckets: HashMap<u64, Vec<(u32, usize)>, FnvBuild> =
-        HashMap::with_hasher(FnvBuild);
-    let mut classes = Vec::with_capacity(per_word.len());
-    let mut next = 0u32;
-    for (w, ops) in per_word.iter().enumerate() {
-        let bucket = buckets.entry(hashes[w]).or_default();
-        let found = bucket
-            .iter()
-            .find_map(|&(id, rep)| projection_eq(ops, &per_word[rep]).then_some(id));
-        let id = match found {
-            Some(id) => id,
-            None => {
-                let id = next;
-                next = next.checked_add(1).expect("class count fits u32");
-                bucket.push((id, w));
-                id
-            }
-        };
-        classes.push(id);
-    }
-    classes
 }
 
 /// Checks the address-uniform-march shape (see the
@@ -327,23 +279,13 @@ fn intern_word_classes(per_word: &[Vec<TraceOp>], hashes: &[u64]) -> Vec<u32> {
 /// memoization already covers them (and the two-word parse would need
 /// lookahead to split shared boundary visits).
 fn certify_uniform_interleave(words: u64, steps: &[TestStep]) -> bool {
-    certify_uniform_interleave_with(words, steps, &mut Vec::new())
-}
-
-/// [`certify_uniform_interleave`] into a caller-owned visit buffer, so a
-/// hot recompile loop ([`TraceArena`]) certifies without allocating.
-fn certify_uniform_interleave_with(
-    words: u64,
-    steps: &[TestStep],
-    visits: &mut Vec<(u64, u32)>,
-) -> bool {
     let n = usize::try_from(words).expect("words fit usize");
     if n < 3 {
         return false;
     }
     // Collapse the op stream to word visits: consecutive ops on one
     // address (pauses don't access, so they split nothing).
-    visits.clear();
+    let mut visits: Vec<(u64, u32)> = Vec::new();
     for step in steps {
         if let TestStep::Bus(cycle) = step {
             match visits.last_mut() {
@@ -394,9 +336,40 @@ fn certify_uniform_interleave_with(
     carry == 0
 }
 
+/// Rejects a pause the memory array model rejects: negative or NaN.
+fn check_pause(ns: f64) {
+    assert!(ns.is_finite() && ns >= 0.0, "pause must be non-negative");
+}
+
+/// Rejects a bus cycle the memory array model on `geometry` rejects, or
+/// whose expectation could never compare.
+fn check_cycle(geometry: &MemGeometry, cycle: &BusCycle) {
+    let (port, addr, width) = (cycle.port, cycle.addr, geometry.width());
+    assert!(port.0 < geometry.ports(), "port {port} out of range");
+    assert!(geometry.contains_addr(addr), "address {addr:#x} out of range");
+    if let Operation::Write(data) = cycle.op {
+        assert_eq!(data.width(), width, "write data width mismatch");
+    }
+    let expected = cycle.expected.map_or(width, |e| e.width());
+    assert_eq!(expected, width, "checked-read expectation width mismatch");
+}
+
+/// Item equality for prefix reuse: bitwise on pause lengths, so a reused
+/// prefix reproduces its step stream exactly (`-0.0 == 0.0`, but the two
+/// are different pauses in the stream).
+fn same_item(a: &MarchItem, b: &MarchItem) -> bool {
+    match (a, b) {
+        (MarchItem::Pause { ns: x }, MarchItem::Pause { ns: y }) => {
+            x.to_bits() == y.to_bits()
+        }
+        _ => a == b,
+    }
+}
+
 /// The golden value the port's sense amplifier held before a read — the
 /// previous read on the same port, at any address.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct PrevRead {
     /// Step index of that previous read.
     pub(crate) step: u32,
@@ -405,6 +378,7 @@ pub(crate) struct PrevRead {
 }
 
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) enum TraceOpKind {
     Write(u64),
     Read {
@@ -421,18 +395,36 @@ pub(crate) enum TraceOpKind {
 
 /// One bus access to a given word, with everything a sparse replay needs.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct TraceOp {
     /// Index into the step stream (global replay order).
     pub(crate) step: u32,
     pub(crate) port: PortId,
-    /// Simulated time *after* the access, exactly as
-    /// [`MemoryArray::now_ns`] would report it (cycle time per access plus
-    /// all preceding pauses).
+    /// Simulated time *after* the access, exactly as the memory array
+    /// model's clock would report it (cycle time per access plus all
+    /// preceding pauses).
     pub(crate) now_ns: f64,
     pub(crate) kind: TraceOpKind,
 }
 
-/// An expanded step stream compiled for cheap per-fault replay.
+/// Fault-free replay state of an element-wise compile at an item
+/// boundary — also an arena's checkpoint, with the golden-miscompare
+/// count at that point.
+#[derive(Debug, Default, Clone, Copy)]
+struct Live {
+    /// Index of the next step.
+    step: u32,
+    /// Simulated time after the last step.
+    now_ns: f64,
+    /// The fault-free value of every word. An element applies one op
+    /// sequence with one data value per op at every address, so all words
+    /// hold the same value at every item boundary.
+    value: u64,
+    /// Last read on the pass's port.
+    last_read: Option<PrevRead>,
+}
+
+/// A test stream compiled for cheap per-fault replay.
 ///
 /// Immutable after construction, so one trace can be shared by reference
 /// across fan-out worker threads; compiling costs one fault-free replay of
@@ -457,31 +449,45 @@ pub struct CompiledTrace {
     /// Checked reads that fail even fault-free, as `(step, addr)`. Usually
     /// empty; a fault-free-dirty stream detects every fault trivially.
     golden_miscompares: Vec<(u32, u64)>,
-    /// Interned content class per word: two words share an id iff their op
-    /// lists carry identical `(kind, data, expected, golden)` sequences, so
-    /// faults on same-class words provably share a packed access program
-    /// (see [`crate::packed`]). Computed once at compile time — the packed
-    /// engine's batch routing stays O(1) per fault.
-    word_class: Vec<u32>,
+    /// Certificate that every word's op list carries the same content
+    /// projection ([`projection_eq`]), so faults on different words
+    /// provably share a packed access program whenever their bit positions
+    /// (and, for pairs, address order) agree — the packed engine's batch
+    /// routing stays O(1) per fault. Every expanded march holds it.
+    monoclass: bool,
     /// Certificate that the stream is an address-uniform march: every
     /// segment visits every word exactly once, in strictly monotone address
     /// order, with one op count per segment. Under this shape the merged
     /// op order of any word pair depends only on which address is smaller,
     /// which lets the packed engine route inter-word coupling faults
-    /// without rebuilding their merged program.
+    /// without rebuilding their merged program. Every expanded march on at
+    /// least three words holds it.
     uniform_interleave: bool,
 }
 
 impl CompiledTrace {
-    /// Compiles a step stream by running it once against a fault-free
-    /// array, recording per-word op lists, access timestamps and golden
-    /// read values.
+    /// An empty trace on `geometry`: no steps, no ops, no certificates.
+    fn empty(geometry: MemGeometry) -> Self {
+        let words = usize::try_from(geometry.words()).expect("words fit usize");
+        Self {
+            geometry,
+            steps: Vec::new(),
+            per_word: vec![Vec::new(); words],
+            golden_miscompares: Vec::new(),
+            monoclass: false,
+            uniform_interleave: false,
+        }
+    }
+
+    /// Compiles a step stream by replaying it once fault-free, recording
+    /// per-word op lists, access timestamps and golden read values.
     ///
     /// # Panics
     ///
     /// Panics if the stream is invalid for the geometry (out-of-range
-    /// address/port, data or expectation width mismatch) — the same
-    /// conditions a direct [`MemoryArray`] replay would reject.
+    /// address/port, data or expectation width mismatch, negative or NaN
+    /// pause) — the same conditions a direct memory-array replay would
+    /// reject.
     #[must_use]
     pub fn from_steps(geometry: MemGeometry, steps: &[TestStep]) -> Self {
         Self::from_steps_owned(geometry, steps.to_vec())
@@ -489,96 +495,213 @@ impl CompiledTrace {
 
     /// [`Self::from_steps`] taking ownership of the stream — spares the
     /// defensive copy when the caller's expansion is already a `Vec` it no
-    /// longer needs (the hot path for whole-run coverage evaluation).
+    /// longer needs.
     #[must_use]
     pub fn from_steps_owned(geometry: MemGeometry, steps: Vec<TestStep>) -> Self {
-        let words = usize::try_from(geometry.words()).expect("words fit usize");
-        // Pre-size each word's op list: one counting pass over the stream
-        // beats re-allocating a thousand small vectors mid-replay.
-        let mut counts = vec![0usize; words];
+        let mut trace = Self::empty(geometry);
+        // One validating pass sizes each word's op list exactly.
+        u32::try_from(steps.len()).expect("step count fits u32");
+        let mut counts = vec![0usize; trace.per_word.len()];
         for step in &steps {
-            if let TestStep::Bus(cycle) = step {
-                counts[usize::try_from(cycle.addr).expect("addr fits usize")] += 1;
-            }
-        }
-        let mut per_word: Vec<Vec<TraceOp>> =
-            counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        let mut word_hash = vec![Fnv1a::OFFSET; words];
-        let mut golden_miscompares = Vec::new();
-        let mut mem = MemoryArray::new(geometry);
-        let mut last_read: Vec<Option<PrevRead>> =
-            vec![None; usize::from(geometry.ports())];
-        for (i, step) in steps.iter().enumerate() {
-            let step_no = u32::try_from(i).expect("step count fits u32");
             match step {
-                TestStep::Pause { ns } => mem.pause(*ns),
-                TestStep::Bus(cycle) => match cycle.op {
-                    Operation::Write(data) => {
-                        mem.write(cycle.port, cycle.addr, data);
-                        let addr = usize::try_from(cycle.addr).expect("addr fits usize");
-                        let kind = TraceOpKind::Write(data.value());
-                        mix_op_content(&mut word_hash[addr], &kind);
-                        per_word[addr].push(TraceOp {
-                            step: step_no,
-                            port: cycle.port,
-                            now_ns: mem.now_ns(),
-                            kind,
-                        });
-                    }
-                    Operation::Read => {
-                        let observed = mem.read(cycle.port, cycle.addr);
-                        let expected = cycle.expected.map(|e| {
-                            assert_eq!(
-                                e.width(),
-                                geometry.width(),
-                                "checked-read expectation width mismatch"
-                            );
-                            e.value()
-                        });
-                        if cycle.expected.is_some_and(|e| e != observed) {
-                            golden_miscompares.push((step_no, cycle.addr));
-                        }
-                        let port = usize::from(cycle.port.0);
-                        let addr = usize::try_from(cycle.addr).expect("addr fits usize");
-                        let kind = TraceOpKind::Read {
-                            expected,
-                            golden: observed.value(),
-                            prev_read: last_read[port],
-                        };
-                        mix_op_content(&mut word_hash[addr], &kind);
-                        per_word[addr].push(TraceOp {
-                            step: step_no,
-                            port: cycle.port,
-                            now_ns: mem.now_ns(),
-                            kind,
-                        });
-                        last_read[port] =
-                            Some(PrevRead { step: step_no, golden: observed.value() });
-                    }
-                },
+                TestStep::Pause { ns } => check_pause(*ns),
+                TestStep::Bus(cycle) => {
+                    check_cycle(&geometry, cycle);
+                    counts[usize::try_from(cycle.addr).expect("addr fits usize")] += 1;
+                }
             }
         }
-        let word_class = intern_word_classes(&per_word, &word_hash);
-        let uniform_interleave = certify_uniform_interleave(geometry.words(), &steps);
-        Self {
-            geometry,
-            steps,
-            per_word,
-            golden_miscompares,
-            word_class,
-            uniform_interleave,
+        for (ops, count) in trace.per_word.iter_mut().zip(counts) {
+            ops.reserve_exact(count);
         }
+        let mut values = vec![0u64; trace.per_word.len()];
+        let mut last_read = vec![None; usize::from(geometry.ports())];
+        let mut now_ns = 0.0;
+        for (step, item) in (0u32..).zip(&steps) {
+            let cycle = match item {
+                TestStep::Pause { ns } => {
+                    now_ns += ns;
+                    continue;
+                }
+                TestStep::Bus(cycle) => cycle,
+            };
+            now_ns += DEFAULT_CYCLE_NS;
+            let value = &mut values[usize::try_from(cycle.addr).expect("addr fits usize")];
+            let kind = match cycle.op {
+                Operation::Write(data) => {
+                    *value = data.value();
+                    TraceOpKind::Write(*value)
+                }
+                Operation::Read => {
+                    let latch = &mut last_read[usize::from(cycle.port.0)];
+                    let prev_read = latch.replace(PrevRead { step, golden: *value });
+                    TraceOpKind::Read {
+                        expected: cycle.expected.map(|e| e.value()),
+                        golden: *value,
+                        prev_read,
+                    }
+                }
+            };
+            trace.record(
+                cycle.addr,
+                TraceOp { step, port: cycle.port, now_ns, kind },
+                true,
+            );
+        }
+        trace.monoclass =
+            trace.per_word.iter().all(|ops| projection_eq(ops, &trace.per_word[0]));
+        trace.uniform_interleave = certify_uniform_interleave(geometry.words(), &steps);
+        trace.steps = steps;
+        trace
     }
 
-    /// Compiles the expanded stream of `test` on `geometry` — the common
-    /// entry point for coverage and synthesis loops.
+    /// Compiles `test` expanded on `geometry` with `options` — the common
+    /// entry point for coverage and synthesis loops. Equal, field for
+    /// field, to [`Self::from_steps`] over [`expand_with`]'s stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conditions [`expand_with`] and
+    /// [`Self::from_steps`] reject: a background of the wrong width, a
+    /// port out of range, a negative or NaN pause.
     #[must_use]
     pub fn compile(
         test: &MarchTest,
         geometry: &MemGeometry,
         options: &ExpandOptions,
     ) -> Self {
-        Self::from_steps_owned(*geometry, expand_with(test, geometry, options))
+        let passes = passes(geometry, options);
+        let steps = step_count(test, geometry, options);
+        u32::try_from(steps).expect("step count fits u32");
+        // Presized exactly: every pass gives every word the same accesses.
+        let per_word = cycle_count(test, geometry, options) / geometry.words();
+        let per_word = usize::try_from(per_word).expect("op count fits usize");
+        let mut trace = Self::empty(*geometry);
+        trace.steps.reserve_exact(steps);
+        for ops in &mut trace.per_word {
+            ops.reserve_exact(per_word);
+        }
+        let mut latches = Vec::new();
+        trace.replay(test.items(), passes, (0, Live::default()), None, &mut latches, None);
+        trace
+    }
+
+    /// The element-wise compiler core: replays `items` once per pass of
+    /// the expansion, skipping the first `from` items of the first pass,
+    /// whose state `live` holds, and pushing the state after every
+    /// first-pass item to `checkpoints`, when given. Mirrors
+    /// [`expand_with`]: time advances before an access is recorded, a
+    /// pause takes a step index. With `support`, only those words' op
+    /// lists are recorded and no step stream.
+    ///
+    /// Both certificates hold by construction: every element gives every
+    /// word the same ops over the same golden values, visiting each word
+    /// once in monotone order (the parse declines under three words). The
+    /// `compile_matches_reference_replay` property test re-derives both.
+    fn replay(
+        &mut self,
+        items: &[MarchItem],
+        passes: impl Iterator<Item = (PortId, Bits)>,
+        (from, mut live): (usize, Live),
+        support: Option<&[bool]>,
+        latches: &mut Vec<Option<PrevRead>>,
+        mut checkpoints: Option<&mut Vec<(Live, usize)>>,
+    ) {
+        latches.clear();
+        latches.resize(usize::from(self.geometry.ports()), None);
+        for (pass, (port, bg)) in passes.enumerate() {
+            let latch = usize::from(port.0);
+            let items = if pass == 0 {
+                &items[from..]
+            } else {
+                live.last_read = latches[latch];
+                items
+            };
+            for item in items {
+                match item {
+                    MarchItem::Pause { ns } => {
+                        check_pause(*ns);
+                        live.now_ns += ns;
+                        if support.is_none() {
+                            self.steps.push(TestStep::Pause { ns: *ns });
+                        }
+                        live.step += 1;
+                    }
+                    MarchItem::Element(e) => {
+                        self.replay_element(e, port, bg, &mut live, support)
+                    }
+                }
+                if let Some(checkpoints) = checkpoints.as_deref_mut().filter(|_| pass == 0)
+                {
+                    checkpoints.push((live, self.golden_miscompares.len()));
+                }
+            }
+            latches[latch] = live.last_read;
+        }
+        self.monoclass = true;
+        self.uniform_interleave = self.geometry.words() >= 3;
+    }
+
+    /// One element of [`Self::replay`]: every word enters it holding
+    /// `live.value` and leaves holding the same value.
+    fn replay_element(
+        &mut self,
+        e: &crate::element::MarchElement,
+        port: PortId,
+        bg: Bits,
+        live: &mut Live,
+        support: Option<&[bool]>,
+    ) {
+        let n = self.geometry.words();
+        let up = matches!(e.order().direction(), mbist_rtl::Direction::Up);
+        let (zero, one) = (bg, !bg);
+        let mut value = live.value;
+        for i in 0..n {
+            let addr = if up { i } else { n - 1 - i };
+            let tracked =
+                support.is_none_or(|s| s[usize::try_from(addr).expect("addr fits usize")]);
+            value = live.value;
+            for op in e.ops() {
+                let word = if op.data() { one } else { zero };
+                live.now_ns += DEFAULT_CYCLE_NS;
+                let step = live.step;
+                live.step += 1;
+                let (cycle, kind) = if op.is_write() {
+                    value = word.value();
+                    (BusCycle::write(port, addr, word), TraceOpKind::Write(value))
+                } else {
+                    let prev_read =
+                        live.last_read.replace(PrevRead { step, golden: value });
+                    let expected = Some(word.value());
+                    let kind = TraceOpKind::Read { expected, golden: value, prev_read };
+                    (BusCycle::read(port, addr, word), kind)
+                };
+                if support.is_none() {
+                    self.steps.push(TestStep::Bus(cycle));
+                }
+                self.record(
+                    addr,
+                    TraceOp { step, port, now_ns: live.now_ns, kind },
+                    tracked,
+                );
+            }
+        }
+        live.value = value;
+    }
+
+    /// The per-access recorder both compile paths feed: logs a checked
+    /// read that fails fault-free as a golden miscompare, and files the
+    /// access under word `addr` when the word is `tracked`.
+    #[inline]
+    fn record(&mut self, addr: u64, op: TraceOp, tracked: bool) {
+        if let TraceOpKind::Read { expected: Some(e), golden, .. } = op.kind {
+            if e != golden {
+                self.golden_miscompares.push((op.step, addr));
+            }
+        }
+        if tracked {
+            self.per_word[usize::try_from(addr).expect("addr fits usize")].push(op);
+        }
     }
 
     /// The geometry the trace was compiled for.
@@ -588,7 +711,7 @@ impl CompiledTrace {
     }
 
     /// The step stream the trace was compiled from (the full-replay
-    /// fallback input).
+    /// input).
     #[must_use]
     pub fn steps(&self) -> &[TestStep] {
         &self.steps
@@ -620,12 +743,17 @@ impl CompiledTrace {
     /// Panics if the fault does not fit the trace geometry.
     #[must_use]
     pub(crate) fn detect_sliced(&self, fault: FaultKind) -> Option<bool> {
+        self.check_fault(fault);
+        sliced::detect_sliced(self, fault)
+    }
+
+    /// Rejects a fault that does not fit the trace geometry.
+    fn check_fault(&self, fault: FaultKind) {
         assert!(
             fault.is_valid_for(&self.geometry),
             "fault {fault} does not fit trace geometry {}",
             self.geometry
         );
-        sliced::detect_sliced(self, fault)
     }
 
     /// Simulates every fault in `universe` against this trace through the
@@ -660,13 +788,7 @@ impl CompiledTrace {
         jobs: Option<usize>,
         engine: SimEngine,
     ) -> Vec<bool> {
-        for fault in universe {
-            assert!(
-                fault.is_valid_for(&self.geometry),
-                "fault {fault} does not fit trace geometry {}",
-                self.geometry
-            );
-        }
+        universe.iter().for_each(|&fault| self.check_fault(fault));
         crate::fanout::detect_universe_trace(
             self,
             universe,
@@ -705,17 +827,11 @@ impl CompiledTrace {
             + self.per_word.len() * std::mem::size_of::<Vec<TraceOp>>()
             + ops * std::mem::size_of::<TraceOp>()
             + self.golden_miscompares.len() * std::mem::size_of::<(u32, u64)>()
-            + self.word_class.len() * std::mem::size_of::<u32>()
     }
 
     /// Every access to `word`, in stream order.
     pub(crate) fn ops_for_word(&self, word: u64) -> &[TraceOp] {
         &self.per_word[usize::try_from(word).expect("addr fits usize")]
-    }
-
-    /// The interned content class of `word` (see the field doc).
-    pub(crate) fn word_class(&self, word: u64) -> u32 {
-        self.word_class[usize::try_from(word).expect("addr fits usize")]
     }
 
     /// Counts how many faults of `universe` the trace detects, with an
@@ -753,13 +869,7 @@ impl CompiledTrace {
         stop_after: Option<usize>,
         scratch: &mut crate::fanout::WorkerScratch,
     ) -> usize {
-        for fault in universe {
-            assert!(
-                fault.is_valid_for(&self.geometry),
-                "fault {fault} does not fit trace geometry {}",
-                self.geometry
-            );
-        }
+        universe.iter().for_each(|&fault| self.check_fault(fault));
         let stop = stop_after.unwrap_or(usize::MAX);
         if stop == 0 {
             return 0;
@@ -804,12 +914,12 @@ impl CompiledTrace {
         self.uniform_interleave
     }
 
-    /// Whether every word shares one content class (class ids are dense in
-    /// first-occurrence order, so "all zero" means "all identical") — with
-    /// [`Self::uniform_interleave`] and clean golden replay, the signature
-    /// under which the packed planner's precomputed routing is sound.
+    /// Whether every word carries the same op content (see the field
+    /// doc) — with [`Self::uniform_interleave`] and clean golden replay,
+    /// the signature under which the packed planner's precomputed routing
+    /// is sound.
     pub(crate) fn monoclass(&self) -> bool {
-        self.word_class.iter().all(|&c| c == 0)
+        self.monoclass
     }
 
     pub(crate) fn golden_miscompares(&self) -> &[(u32, u64)] {
@@ -817,75 +927,36 @@ impl CompiledTrace {
     }
 }
 
-/// Replay state snapshot at an element boundary: everything a resumed
-/// compile needs to continue as if it had replayed the prefix itself.
-#[derive(Default)]
-struct Checkpoint {
-    /// Steps compiled so far (prefix length in the step stream).
-    steps: u32,
-    /// Simulated time after the prefix.
-    now_ns: f64,
-    /// Golden miscompares recorded so far (prefix length).
-    miscompares: u32,
-    /// Fault-free word values after the prefix.
-    values: Vec<u64>,
-    /// Last read per port after the prefix.
-    last_read: Vec<Option<PrevRead>>,
-    /// Incremental word-content hashes after the prefix.
-    word_hash: Vec<u64>,
-}
-
 /// Reusable compilation arena for hot candidate-scoring loops.
 ///
-/// One arena owns a [`CompiledTrace`] slot plus every scratch buffer a
-/// compile needs, so recompiling a stream of similar candidates reaches an
-/// allocation-free steady state: the step stream, per-word op lists,
-/// content hashes and certificate scratch all keep their capacity across
-/// compiles, and the fault-free golden replay runs against a raw value
-/// array instead of a freshly allocated [`MemoryArray`].
+/// One arena owns a [`CompiledTrace`] slot and the compiler's scratch, so
+/// recompiling a stream of similar candidates under one configuration
+/// reaches an allocation-free steady state: the step stream and per-word
+/// op lists keep their capacity across compiles.
 ///
-/// On single-pass expansions (one port × one background, no pauses — the
-/// shape every synthesis candidate has) the arena also snapshots replay
-/// state at every element boundary: a candidate sharing an element prefix
-/// with the previously compiled one resumes from the last shared
-/// checkpoint instead of replaying from power-up. Shrink loops, whose
-/// trial candidates share almost their whole prefix with the incumbent,
-/// recompile in near-constant time.
+/// The arena also checkpoints the fault-free replay state at every item
+/// boundary of the first pass (the first port × background): a candidate
+/// sharing an item prefix with the previously compiled one, under the same
+/// geometry and options, resumes from the last shared checkpoint instead
+/// of replaying from power-up. Shrink loops, whose trial candidates share
+/// almost their whole prefix with the incumbent, recompile in
+/// near-constant time.
 ///
-/// The produced trace is bit-identical to [`CompiledTrace::compile`] on
-/// the same inputs (pinned by tests); only the wall-clock cost changes.
+/// A compile produces the same trace as [`CompiledTrace::compile`] on the
+/// same inputs (pinned by tests); only the wall-clock cost changes.
 #[derive(Default)]
 pub struct TraceArena {
     trace: Option<CompiledTrace>,
-    /// Live replay state (fault-free word values, simulated time, per-port
-    /// sense history, per-word content hashes).
-    values: Vec<u64>,
-    now_ns: f64,
-    last_read: Vec<Option<PrevRead>>,
-    word_hash: Vec<u64>,
-    /// One snapshot per compiled element of the previous candidate.
-    checkpoints: Vec<Checkpoint>,
-    /// Retired checkpoints, recycled to keep steady state allocation-free.
-    spare: Vec<Checkpoint>,
-    /// Elements of the previously compiled candidate (the prefix key).
-    prev_elements: Vec<MarchElement>,
-    /// Expansion config the checkpoints are valid under.
-    prev_config: Option<(MemGeometry, ExpandOptions)>,
-    /// Whether the checkpoint state describes `trace` (false after a
-    /// slow-path compile or on a fresh arena).
-    prev_valid: bool,
-    /// Certificate scratch ([`certify_uniform_interleave_with`]).
-    visits: Vec<(u64, u32)>,
-    /// Per-element decoded ops — `(is_write, bus word, word value)` — so
-    /// the replay loop resolves data backgrounds once per element instead
-    /// of once per access.
-    decoded: Vec<(bool, Bits, u64)>,
-    /// Skip recording the flat step stream on the fast path (see
-    /// [`Self::set_skip_steps`]).
-    skip_steps: bool,
-    /// When set, only these words' per-word op lists are populated on the
-    /// fast path (see [`Self::set_word_support`]).
-    word_support: Option<Vec<bool>>,
+    /// State and miscompare count after each first-pass item of the
+    /// previous compile.
+    checkpoints: Vec<(Live, usize)>,
+    /// Items of the previous compile (the prefix key).
+    prev_items: Vec<MarchItem>,
+    /// Geometry, options and support mask `trace` and the checkpoints were
+    /// compiled under; `None` when nothing is reusable.
+    prev_config: Option<(MemGeometry, ExpandOptions, Option<Vec<bool>>)>,
+    /// Sense-history scratch (see [`CompiledTrace::replay`]).
+    latches: Vec<Option<PrevRead>>,
 }
 
 impl TraceArena {
@@ -895,317 +966,101 @@ impl TraceArena {
         Self::default()
     }
 
-    /// Skips recording the flat [`TestStep`] stream on the element fast
-    /// path: compiled traces come back with empty `steps`, while the
-    /// per-word op lists still carry the true global step indices. The
-    /// packed engine detects purely from the per-word lists, so a
-    /// packed-only scoring loop saves one push per access; full replay (and
-    /// the per-fault path, which falls back to it) replays the step stream
-    /// and MUST NOT consume traces compiled this way. Toggling invalidates any cached prefix state.
-    pub(crate) fn set_skip_steps(&mut self, skip: bool) {
-        if self.skip_steps != skip {
-            self.skip_steps = skip;
-            self.prev_valid = false;
-        }
-    }
-
-    /// Restricts fast-path compilation to populate per-word op lists only
-    /// for words marked in `support` (untracked words come back with empty
-    /// lists; golden replay — values, timing, miscompares — still covers
-    /// the whole array exactly). The produced traces are valid solely for
-    /// consumers that declared the support set, e.g.
-    /// [`UniversePlan::count_detected`](crate::packed::UniversePlan) via
-    /// its `support_mask`. `None` restores reference-complete compiles.
-    /// Changing the support invalidates any cached prefix state.
-    pub(crate) fn set_word_support(&mut self, support: Option<Vec<bool>>) {
-        if self.word_support != support {
-            self.word_support = support;
-            self.prev_valid = false;
-        }
-    }
-
     /// Compiles `test` exactly like [`CompiledTrace::compile`], reusing
-    /// the arena's buffers and any element-prefix overlap with the
-    /// previous compile. The returned trace borrows the arena and is
-    /// valid until the next `compile` call.
+    /// the arena's buffers and any item-prefix overlap with the previous
+    /// compile. The returned trace borrows the arena and is valid until
+    /// the next compile.
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`CompiledTrace::compile`]
-    /// (background width mismatch, port out of range, invalid stream).
+    /// Panics under the same conditions as [`CompiledTrace::compile`].
     pub fn compile(
         &mut self,
         test: &MarchTest,
         geometry: &MemGeometry,
         options: &ExpandOptions,
     ) -> &CompiledTrace {
-        let fast = options.ports.len() == 1
-            && options.backgrounds.len() == 1
-            && test.items().iter().all(|i| matches!(i, MarchItem::Element(_)));
-        if fast {
-            self.compile_elements(test, geometry, options);
-        } else {
-            self.compile_slow(test, geometry, options);
-        }
-        self.trace.as_ref().expect("compile populates the trace")
+        self.compile_with(test, geometry, options, None)
     }
 
-    /// Cold path for multi-pass or pause-carrying tests: full recompile
-    /// through the reference pipeline, reusing only the step buffer.
-    fn compile_slow(
+    /// Compiles `test` for `plan` alone: when the plan declares a support
+    /// set ([`UniversePlan::support`]), only those words' op lists are
+    /// recorded and the step stream is skipped; otherwise the compile is
+    /// complete. Either way the result is a [`SupportTrace`], which only
+    /// [`UniversePlan::count_detected`] accepts.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`CompiledTrace::compile`].
+    pub(crate) fn compile_support(
         &mut self,
         test: &MarchTest,
         geometry: &MemGeometry,
         options: &ExpandOptions,
-    ) {
-        let mut steps = self.trace.take().map(|t| t.steps).unwrap_or_default();
-        expand_into(test, geometry, options, &mut steps);
-        self.trace = Some(CompiledTrace::from_steps_owned(*geometry, steps));
-        self.retire_checkpoints(0);
-        self.prev_valid = false;
+        plan: &UniversePlan,
+    ) -> SupportTrace<'_> {
+        SupportTrace::from(self.compile_with(test, geometry, options, plan.support()))
     }
 
-    /// Hot path: replay only the elements past the shared prefix.
-    fn compile_elements(
+    /// Shared body of both compiles: roll back to the last checkpoint the
+    /// new candidate shares with the previous one, then replay the rest.
+    /// With `support` the result is partial and must not escape except as
+    /// a [`SupportTrace`].
+    fn compile_with(
         &mut self,
         test: &MarchTest,
         geometry: &MemGeometry,
         options: &ExpandOptions,
-    ) {
-        let words = usize::try_from(geometry.words()).expect("words fit usize");
-        let ports = usize::from(geometry.ports());
-        let port = options.ports[0];
-        let bg = options.backgrounds[0];
-        assert_eq!(bg.width(), geometry.width(), "background width mismatch");
-        assert!(port.0 < geometry.ports(), "port {port} out of range");
-
-        let config_matches =
-            self.prev_config.as_ref().is_some_and(|(g, o)| g == geometry && o == options);
-        if !config_matches {
-            self.prev_config = Some((*geometry, options.clone()));
-        }
+        support: Option<&[bool]>,
+    ) -> &CompiledTrace {
+        let passes = passes(geometry, options);
+        u32::try_from(step_count(test, geometry, options)).expect("step count fits u32");
         let items = test.items();
-        let shared = if self.prev_valid && config_matches && self.trace.is_some() {
-            items
-                .iter()
-                .zip(&self.prev_elements)
-                .take_while(|(item, prev)| item.as_element() == Some(prev))
-                .count()
-        } else {
-            self.reset_skeleton(geometry, words);
-            0
-        };
-
-        // Roll the live state back to the last shared element boundary.
-        self.retire_checkpoints(shared);
-        let (steps_keep, misc_keep) = match self.checkpoints.last() {
-            Some(ck) => {
-                self.now_ns = ck.now_ns;
-                self.values.clone_from(&ck.values);
-                self.last_read.clone_from(&ck.last_read);
-                self.word_hash.clone_from(&ck.word_hash);
-                (ck.steps as usize, ck.miscompares as usize)
-            }
-            None => {
-                self.now_ns = 0.0;
-                self.values.clear();
-                self.values.resize(words, 0);
-                self.last_read.clear();
-                self.last_read.resize(ports, None);
-                self.word_hash.clear();
-                self.word_hash.resize(words, Fnv1a::OFFSET);
-                (0, 0)
-            }
-        };
-        {
-            let trace = self.trace.as_mut().expect("skeleton exists");
-            trace.steps.truncate(steps_keep);
-            trace.golden_miscompares.truncate(misc_keep);
-            let cut = u32::try_from(steps_keep).expect("step count fits u32");
+        // Taken, not borrowed: a compile that panics midway leaves nothing
+        // reusable behind.
+        let prev = self.prev_config.take();
+        let reusable = prev.as_ref().is_some_and(|(g, o, s)| {
+            g == geometry && o == options && s.as_deref() == support
+        });
+        if !reusable {
+            self.checkpoints.clear();
+            self.prev_items.clear();
+            self.trace = Some(CompiledTrace::empty(*geometry));
+        }
+        let trace = self.trace.as_mut().expect("a reusable config has a trace");
+        let shared =
+            items.iter().zip(&self.prev_items).take_while(|(a, b)| same_item(a, b)).count();
+        if shared < items.len() || shared < self.prev_items.len() {
+            // Roll back to the end of the shared prefix in the first pass.
+            self.checkpoints.truncate(shared);
+            let (live, miscompares) = self.checkpoints.last().copied().unwrap_or_default();
+            trace.steps.truncate(live.step as usize);
+            trace.golden_miscompares.truncate(miscompares);
             for ops in &mut trace.per_word {
-                ops.truncate(ops.partition_point(|op| op.step < cut));
+                ops.truncate(ops.partition_point(|op| op.step < live.step));
             }
+            let (latches, checkpoints) = (&mut self.latches, Some(&mut self.checkpoints));
+            trace.replay(items, passes, (shared, live), support, latches, checkpoints);
+            self.prev_items.truncate(shared);
+            self.prev_items.extend_from_slice(&items[shared..]);
         }
-
-        // Replay the unshared tail, mirroring `expand_one_pass` +
-        // `from_steps_owned` exactly: cycle time advances before the access
-        // is recorded, reads observe the stored fault-free word.
-        let n = geometry.words();
-        let p = usize::from(port.0);
-        let skip_steps = self.skip_steps;
-        // Moved out for the loop (`push_checkpoint` reborrows `self`) and
-        // restored right after it.
-        let support_owned = self.word_support.take();
-        let support = support_owned.as_deref();
-        let mut step_no = u32::try_from(steps_keep).expect("step count fits u32");
-        for item in &items[shared..] {
-            let e = item.as_element().expect("fast path is element-only");
-            let up = matches!(e.order().direction(), mbist_rtl::Direction::Up);
-            self.decoded.clear();
-            self.decoded.extend(e.ops().iter().map(|op| {
-                let word = if op.data() { !bg } else { bg };
-                (op.is_write(), word, word.value())
-            }));
-            let trace = self.trace.as_mut().expect("skeleton exists");
-            for i in 0..n {
-                let addr = if up { i } else { n - 1 - i };
-                let w = usize::try_from(addr).expect("addr fits usize");
-                // Untracked words keep exact golden state (values, timing,
-                // miscompares, sense history) but skip the op-list record.
-                let tracked = support.is_none_or(|s| s[w]);
-                for &(is_write, word, value) in &self.decoded {
-                    self.now_ns += DEFAULT_CYCLE_NS;
-                    if is_write {
-                        if !skip_steps {
-                            trace
-                                .steps
-                                .push(TestStep::Bus(BusCycle::write(port, addr, word)));
-                        }
-                        self.values[w] = value;
-                        if tracked {
-                            let kind = TraceOpKind::Write(value);
-                            mix_op_content(&mut self.word_hash[w], &kind);
-                            trace.per_word[w].push(TraceOp {
-                                step: step_no,
-                                port,
-                                now_ns: self.now_ns,
-                                kind,
-                            });
-                        }
-                    } else {
-                        if !skip_steps {
-                            trace
-                                .steps
-                                .push(TestStep::Bus(BusCycle::read(port, addr, word)));
-                        }
-                        let observed = self.values[w];
-                        if value != observed {
-                            trace.golden_miscompares.push((step_no, addr));
-                        }
-                        if tracked {
-                            let kind = TraceOpKind::Read {
-                                expected: Some(value),
-                                golden: observed,
-                                prev_read: self.last_read[p],
-                            };
-                            mix_op_content(&mut self.word_hash[w], &kind);
-                            trace.per_word[w].push(TraceOp {
-                                step: step_no,
-                                port,
-                                now_ns: self.now_ns,
-                                kind,
-                            });
-                        }
-                        self.last_read[p] =
-                            Some(PrevRead { step: step_no, golden: observed });
-                    }
-                    step_no += 1;
-                }
-            }
-            let misc_len = u32::try_from(trace.golden_miscompares.len())
-                .expect("miscompare count fits u32");
-            self.push_checkpoint(step_no, misc_len);
-        }
-        let sparse = support_owned.is_some();
-        self.word_support = support_owned;
-
-        // The fast path constructs the stream itself, so both certificates
-        // are known without a pass over it: every element visits every
-        // word exactly once in monotone order with a uniform op count
-        // (address-uniform by construction, with direction-reversal
-        // boundary visits exactly the shape the parser's `carry` admits),
-        // and every write puts the same value at every address, so `values`
-        // stays address-uniform and all words carry the identical content
-        // projection — one class. The debug assertions re-derive both
-        // through the reference certifiers.
-        let trace = self.trace.as_mut().expect("skeleton exists");
-        trace.word_class.clear();
-        trace.word_class.resize(words, 0);
-        trace.uniform_interleave = geometry.words() >= 3;
-        debug_assert!(
-            sparse
-                || trace.word_class
-                    == intern_word_classes(&trace.per_word, &self.word_hash),
-            "fast-path streams must be monoclass by construction"
-        );
-        debug_assert!(
-            skip_steps
-                || certify_uniform_interleave_with(
-                    geometry.words(),
-                    &trace.steps,
-                    &mut self.visits,
-                ) == trace.uniform_interleave,
-            "fast-path streams must be address-uniform exactly when words >= 3"
-        );
-
-        self.prev_elements.clear();
-        self.prev_elements.extend(
-            items
-                .iter()
-                .map(|i| i.as_element().expect("fast path is element-only").clone()),
-        );
-        self.prev_valid = true;
-    }
-
-    /// Resets the trace slot to an empty skeleton for `geometry`, keeping
-    /// whatever buffer capacity the previous trace had.
-    fn reset_skeleton(&mut self, geometry: &MemGeometry, words: usize) {
-        let trace = match self.trace.take() {
-            Some(mut t) => {
-                t.geometry = *geometry;
-                t.steps.clear();
-                if t.per_word.len() == words {
-                    for ops in &mut t.per_word {
-                        ops.clear();
-                    }
-                } else {
-                    t.per_word.clear();
-                    t.per_word.resize_with(words, Vec::new);
-                }
-                t.golden_miscompares.clear();
-                t.word_class.clear();
-                t.uniform_interleave = false;
-                t
-            }
-            None => CompiledTrace {
-                geometry: *geometry,
-                steps: Vec::new(),
-                per_word: vec![Vec::new(); words],
-                golden_miscompares: Vec::new(),
-                word_class: Vec::new(),
-                uniform_interleave: false,
-            },
+        self.prev_config = if reusable {
+            prev
+        } else {
+            Some((*geometry, options.clone(), support.map(<[bool]>::to_vec)))
         };
-        self.trace = Some(trace);
-    }
-
-    /// Moves checkpoints past `keep` into the spare pool (their buffers
-    /// are recycled by the next [`Self::push_checkpoint`]).
-    fn retire_checkpoints(&mut self, keep: usize) {
-        while self.checkpoints.len() > keep {
-            self.spare.push(self.checkpoints.pop().expect("len checked"));
-        }
-    }
-
-    /// Snapshots the live replay state as the checkpoint after the element
-    /// just compiled.
-    fn push_checkpoint(&mut self, steps: u32, miscompares: u32) {
-        let mut ck = self.spare.pop().unwrap_or_default();
-        ck.steps = steps;
-        ck.now_ns = self.now_ns;
-        ck.miscompares = miscompares;
-        ck.values.clone_from(&self.values);
-        ck.last_read.clone_from(&self.last_read);
-        ck.word_hash.clone_from(&self.word_hash);
-        self.checkpoints.push(ck);
+        trace
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::{AddressOrder, MarchElement};
     use crate::expand::expand;
     use crate::library;
+    use crate::op::MarchOp;
+    use mbist_mem::rng::SplitMix64;
     use mbist_mem::{BusCycle, CellId, DEFAULT_CYCLE_NS};
     use mbist_rtl::Bits;
 
@@ -1230,7 +1085,7 @@ mod tests {
             let trace = CompiledTrace::from_steps(g, &expand(&test, &g));
             assert!(trace.uniform_interleave(), "{} should certify", test.name());
             assert!(
-                (0..8).all(|w| trace.word_class(w) == trace.word_class(0)),
+                trace.monoclass(),
                 "{}: uniform data pattern means one content class",
                 test.name()
             );
@@ -1255,7 +1110,8 @@ mod tests {
         // A word visited twice in one sweep breaks visit uniformity too.
         let trace = CompiledTrace::from_steps(g, &[w(0), w(1), w(1), w(2), w(3)]);
         assert!(!trace.uniform_interleave());
-        // A word with a different data pattern gets its own content class.
+        // A word with a different data pattern breaks the single content
+        // class.
         let wv = |addr, bit| {
             TestStep::Bus(BusCycle {
                 port: PortId(0),
@@ -1269,8 +1125,7 @@ mod tests {
             &[wv(0, true), wv(1, false), wv(2, true), wv(3, true)],
         );
         assert!(trace.uniform_interleave(), "order is uniform even if data is not");
-        assert_ne!(trace.word_class(0), trace.word_class(1));
-        assert_eq!(trace.word_class(0), trace.word_class(2));
+        assert!(!trace.monoclass());
     }
 
     #[test]
@@ -1381,47 +1236,258 @@ mod tests {
             trace.detect(FaultKind::StuckAt { cell: CellId::bit_oriented(9), value: true });
     }
 
+    /// One `#[should_panic]` test per `name: "message" => expression;`.
+    macro_rules! rejects {
+        ($($name:ident: $msg:literal => $body:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = $msg)]
+            fn $name() {
+                let _ = $body;
+            }
+        )*};
+    }
+
+    /// The 4-word, 4-bit, two-port memory the validation tests compile on.
+    fn small() -> MemGeometry {
+        MemGeometry::new(4, 4, 2)
+    }
+
+    fn one_step(port: u8, addr: u64, op: Operation, expected: Option<Bits>) -> TestStep {
+        TestStep::Bus(BusCycle { port: PortId(port), addr, op, expected })
+    }
+
+    fn stream(step: TestStep) -> CompiledTrace {
+        CompiledTrace::from_steps(small(), &[step])
+    }
+
+    /// March C with a negative pause after its initialization, minimal
+    /// options.
+    fn negative_pause() -> (MarchTest, ExpandOptions) {
+        let mut items = library::march_c().items().to_vec();
+        items.insert(1, MarchItem::Pause { ns: -5.0 });
+        (MarchTest::new("neg-pause", items), ExpandOptions::minimal(&small()))
+    }
+
+    fn wide_background() -> (MarchTest, ExpandOptions) {
+        let backgrounds = vec![Bits::zero(5)];
+        (library::mats(), ExpandOptions { backgrounds, ..ExpandOptions::minimal(&small()) })
+    }
+
+    fn missing_port() -> (MarchTest, ExpandOptions) {
+        let ports = vec![PortId(2)];
+        (library::mats(), ExpandOptions { ports, ..ExpandOptions::minimal(&small()) })
+    }
+
+    fn one_shot((test, opts): (MarchTest, ExpandOptions)) -> CompiledTrace {
+        CompiledTrace::compile(&test, &small(), &opts)
+    }
+
+    fn arena((test, opts): (MarchTest, ExpandOptions)) -> CompiledTrace {
+        TraceArena::new().compile(&test, &small(), &opts).clone()
+    }
+
+    rejects! {
+        from_steps_rejects_an_address_past_the_array: "out of range" =>
+            stream(one_step(0, 4, Operation::Read, None));
+        from_steps_rejects_a_port_past_the_ports: "out of range" =>
+            stream(one_step(2, 0, Operation::Read, None));
+        from_steps_rejects_a_write_of_the_wrong_width: "width mismatch" =>
+            stream(one_step(0, 0, Operation::Write(Bits::new(3, 0b101)), None));
+        from_steps_rejects_an_expectation_of_the_wrong_width: "width mismatch" =>
+            stream(one_step(0, 0, Operation::Read, Some(Bits::new(8, 0))));
+        from_steps_rejects_a_negative_pause: "non-negative" =>
+            stream(TestStep::Pause { ns: -1.0 });
+        from_steps_rejects_a_nan_pause: "non-negative" =>
+            stream(TestStep::Pause { ns: f64::NAN });
+        compile_rejects_a_negative_pause: "non-negative" => one_shot(negative_pause());
+        compile_rejects_a_background_of_the_wrong_width: "width mismatch" =>
+            one_shot(wide_background());
+        compile_rejects_a_port_out_of_range: "out of range" => one_shot(missing_port());
+        arena_rejects_a_negative_pause: "non-negative" => arena(negative_pause());
+        arena_rejects_a_background_of_the_wrong_width: "width mismatch" =>
+            arena(wide_background());
+        arena_rejects_a_port_out_of_range: "out of range" => arena(missing_port());
+    }
+
     /// Field-by-field equality of two compiled traces, including the op
-    /// projections the engines consume (`Debug` renders `f64` timestamps
-    /// with round-trip precision, so this is bit-exact).
+    /// projections the engines consume.
     fn assert_trace_eq(a: &CompiledTrace, b: &CompiledTrace, what: &str) {
         assert_eq!(a.geometry, b.geometry, "{what}: geometry");
         assert_eq!(a.steps, b.steps, "{what}: steps");
-        assert_eq!(
-            format!("{:?}", a.per_word),
-            format!("{:?}", b.per_word),
-            "{what}: per-word ops"
-        );
+        assert_eq!(a.per_word, b.per_word, "{what}: per-word ops");
         assert_eq!(a.golden_miscompares, b.golden_miscompares, "{what}: miscompares");
-        assert_eq!(a.word_class, b.word_class, "{what}: word classes");
-        assert_eq!(a.uniform_interleave, b.uniform_interleave, "{what}: certificate");
+        assert_eq!(a.monoclass, b.monoclass, "{what}: monoclass");
+        assert_eq!(a.uniform_interleave, b.uniform_interleave, "{what}: uniform");
+    }
+
+    /// The reference compile: the expanded stream through `from_steps`.
+    fn reference(test: &MarchTest, g: &MemGeometry, opts: &ExpandOptions) -> CompiledTrace {
+        CompiledTrace::from_steps_owned(*g, expand_with(test, g, opts))
+    }
+
+    /// Checks every golden value, timestamp and miscompare of `trace`
+    /// against a fault-free [`MemoryArray`] replay of `steps`.
+    fn assert_matches_memory_array(trace: &CompiledTrace, steps: &[TestStep], what: &str) {
+        let mut mem = MemoryArray::new(trace.geometry);
+        let mut cursor = vec![0usize; trace.per_word.len()];
+        let mut miscompares = Vec::new();
+        for (i, step) in (0u32..).zip(steps) {
+            let cycle = match step {
+                TestStep::Pause { ns } => {
+                    mem.pause(*ns);
+                    continue;
+                }
+                TestStep::Bus(cycle) => cycle,
+            };
+            let w = usize::try_from(cycle.addr).unwrap();
+            let op = trace.per_word[w][cursor[w]];
+            cursor[w] += 1;
+            let (value, recorded) = match (cycle.op, op.kind) {
+                (Operation::Write(data), TraceOpKind::Write(d)) => {
+                    mem.write(cycle.port, cycle.addr, data);
+                    (data, d)
+                }
+                (Operation::Read, TraceOpKind::Read { golden, .. }) => {
+                    let observed = mem.read(cycle.port, cycle.addr);
+                    if cycle.expected.is_some_and(|e| e != observed) {
+                        miscompares.push((i, cycle.addr));
+                    }
+                    (observed, golden)
+                }
+                _ => panic!("{what}: step {i} recorded as the wrong kind"),
+            };
+            let time = mem.now_ns().to_bits();
+            assert_eq!((op.step, recorded, op.now_ns.to_bits()), (i, value.value(), time));
+        }
+        let counts: Vec<usize> = trace.per_word.iter().map(Vec::len).collect();
+        assert_eq!(cursor, counts, "{what}: op counts");
+        assert_eq!(trace.golden_miscompares, miscompares, "{what}: miscompares");
+    }
+
+    /// A random march test on a random geometry with random expansion
+    /// options: 1–40 words, 1–8 bits, 1–3 ports; pauses (zero included)
+    /// between elements; reads whose expectation need not match the stored
+    /// value, so streams are often dirty.
+    fn random_case(rng: &mut SplitMix64) -> (MarchTest, MemGeometry, ExpandOptions) {
+        let mut pick = |n: u64| rng.next_u64() % n;
+        let g = MemGeometry::new(1 + pick(40), 1 + pick(8) as u8, 1 + pick(3) as u8);
+        let mut items: Vec<MarchItem> = vec![];
+        for _ in 0..=pick(6) {
+            if pick(5) == 0 {
+                let ns = [0.0, 10.0, 1e3, 5e4, 2.5e5][pick(5) as usize];
+                items.push(MarchItem::Pause { ns });
+                continue;
+            }
+            let order = [AddressOrder::Up, AddressOrder::Down, AddressOrder::Any];
+            let op = |k| if k < 2 { MarchOp::Write(k == 1) } else { MarchOp::Read(k == 3) };
+            let ops = (0..=pick(4)).map(|_| op(pick(4))).collect();
+            items.push(MarchElement::new(order[pick(3) as usize], ops).into());
+        }
+        if items.iter().all(|i| i.as_element().is_none()) {
+            items.push(
+                MarchElement::new(AddressOrder::Down, vec![MarchOp::Read(true)]).into(),
+            );
+        }
+        let opts = match pick(3) {
+            0 => ExpandOptions::for_geometry(&g),
+            1 => ExpandOptions::minimal(&g),
+            _ => ExpandOptions {
+                backgrounds: (0..=pick(3))
+                    .map(|_| Bits::new(g.width(), pick(u64::MAX) >> (64 - g.width())))
+                    .collect(),
+                ports: (0..=pick(2))
+                    .map(|_| PortId(pick(u64::from(g.ports())) as u8))
+                    .collect(),
+            },
+        };
+        (MarchTest::new("random", items), g, opts)
+    }
+
+    #[test]
+    fn compile_matches_reference_replay() {
+        // The compiler's correctness argument, in release mode too: over
+        // seeded random marches, the element-wise compile equals the
+        // stream compile field for field, both match a fault-free
+        // MemoryArray replay, both certificates hold exactly as the
+        // compiler claims by construction, and one arena fed the whole
+        // sequence — prefix-sharing mutations, repeats and support-
+        // restricted compiles included — reproduces every one-shot result.
+        let mut rng = SplitMix64::new(0x7ace);
+        let mut arena = TraceArena::new();
+        let mut prev: Option<(MarchTest, MemGeometry, ExpandOptions)> = None;
+        let mut support: Option<Vec<bool>> = None;
+        for case in 0..1200 {
+            let (test, g, opts) = match prev.take() {
+                // Mutate the previous test's tail half the time, so the
+                // arena resumes from a shared prefix.
+                Some((prev_test, g, opts)) if rng.next_u64().is_multiple_of(2) => {
+                    let (fresh, ..) = random_case(&mut rng);
+                    let keep = (rng.next_u64() as usize) % (prev_test.items().len() + 1);
+                    let mut items = prev_test.items()[..keep].to_vec();
+                    if !rng.next_u64().is_multiple_of(4) {
+                        items.extend_from_slice(fresh.items());
+                    }
+                    if items.iter().all(|i| i.as_element().is_none()) {
+                        items = prev_test.items().to_vec();
+                    }
+                    (MarchTest::new("mutant", items), g, opts)
+                }
+                _ => {
+                    // A third of the mutation families compile
+                    // support-restricted, under one random mask.
+                    let (test, g, opts) = random_case(&mut rng);
+                    support = rng.next_u64().is_multiple_of(3).then(|| {
+                        (0..g.words()).map(|_| rng.next_u64().is_multiple_of(2)).collect()
+                    });
+                    (test, g, opts)
+                }
+            };
+            let what = format!("case {case}: {test} on {g}, {opts:?}");
+            let steps = expand_with(&test, &g, &opts);
+            let got = CompiledTrace::compile(&test, &g, &opts);
+            assert_trace_eq(&got, &CompiledTrace::from_steps(g, &steps), &what);
+            assert_matches_memory_array(&got, &steps, &what);
+            assert!(got.monoclass(), "{what}: monoclass");
+            assert_eq!(got.uniform_interleave(), g.words() >= 3, "{what}: uniform");
+
+            // A support-restricted compile records no steps and only the
+            // support words' ops.
+            let mut want = got.clone();
+            if let Some(support) = &support {
+                want.steps.clear();
+                for (ops, _) in want.per_word.iter_mut().zip(support).filter(|(_, &s)| !s) {
+                    ops.clear();
+                }
+            }
+            let part = arena.compile_with(&test, &g, &opts, support.as_deref());
+            assert_trace_eq(part, &want, &what);
+            prev = Some((test, g, opts));
+        }
     }
 
     #[test]
     fn arena_matches_reference_compile_across_shapes() {
-        // One arena compiles a mixed stream of tests — single-pass
-        // (fast path), pause-carrying and multi-background/multi-port
-        // (slow path) — and every result must be bit-identical to a cold
-        // reference compile. Interleaving shapes also proves fast→slow→fast
-        // transitions never leak state.
+        // One arena compiles a mixed stream of tests — single-pass,
+        // pause-carrying and multi-background/multi-port — and every
+        // result must equal the reference compile of the expanded stream.
+        // Interleaving shapes also proves shape switches never leak state.
         let bit = MemGeometry::bit_oriented(8);
         let word = MemGeometry::word_oriented(8, 4);
         let multi = MemGeometry::new(8, 1, 2);
         let cases: Vec<(MarchTest, MemGeometry)> = vec![
             (library::mats(), bit),
             (library::march_c(), bit),
-            (library::march_c_plus(), bit), // pauses: slow path
-            (library::march_c(), word),     // 3 backgrounds: slow path
+            (library::march_c_plus(), bit), // pauses
+            (library::march_c(), word),     // 3 backgrounds
             (library::march_b(), bit),
-            (library::mats_plus(), multi), // 2 ports: slow path
-            (library::march_c(), bit),     // back to the fast path
+            (library::mats_plus(), multi), // 2 ports
+            (library::march_c(), bit),
         ];
         let mut arena = TraceArena::new();
         for (test, g) in &cases {
             let opts = ExpandOptions::for_geometry(g);
             let got = arena.compile(test, g, &opts);
-            let want = CompiledTrace::compile(test, g, &opts);
-            assert_trace_eq(got, &want, test.name());
+            assert_trace_eq(got, &reference(test, g, &opts), test.name());
         }
     }
 
@@ -1430,8 +1496,6 @@ mod tests {
         // Candidate-style recompiles that exercise every prefix-sharing
         // case: tail mutation, mid-element removal (shrink), pure prefix
         // (tail removal), growth, and a full rewrite.
-        use crate::element::AddressOrder;
-        use crate::op::MarchOp;
         let g = MemGeometry::bit_oriented(8);
         let opts = ExpandOptions::minimal(&g);
         let e = |order, ops: &[MarchOp]| MarchElement::new(order, ops.to_vec());
@@ -1481,8 +1545,7 @@ mod tests {
                 elements.clone().into_iter().map(MarchItem::Element).collect(),
             );
             let got = arena.compile(&test, &g, &opts);
-            let want = CompiledTrace::compile(&test, &g, &opts);
-            assert_trace_eq(got, &want, test.name());
+            assert_trace_eq(got, &reference(&test, &g, &opts), test.name());
         }
     }
 
@@ -1492,7 +1555,7 @@ mod tests {
         for g in [MemGeometry::bit_oriented(4), MemGeometry::bit_oriented(16)] {
             for opts in [ExpandOptions::minimal(&g), ExpandOptions::for_geometry(&g)] {
                 let got = arena.compile(&library::march_c(), &g, &opts);
-                let want = CompiledTrace::compile(&library::march_c(), &g, &opts);
+                let want = reference(&library::march_c(), &g, &opts);
                 assert_trace_eq(got, &want, "geometry/options switch");
             }
         }

@@ -3,7 +3,7 @@
 
 use mbist_march::{library, MarchTest, SimEngine};
 use mbist_mem::{FaultClass, MemGeometry};
-use mbist_search::{search_march, SearchOptions, Strategy};
+use mbist_search::{report_text, search_march, SearchOptions, Strategy};
 
 /// The acceptance universe: classic static classes on a 256×1 memory.
 fn acceptance_options() -> SearchOptions {
@@ -113,6 +113,34 @@ fn same_seed_is_byte_identical_across_engines() {
     assert_eq!(packed.test.to_string(), full.test.to_string());
     assert_eq!(packed.detected, full.detected);
     assert_eq!(packed.evaluations, full.evaluations);
+}
+
+/// Word-oriented two-port candidates compile one pass per port × data
+/// background, with prefix reuse and support-restricted compiles; the
+/// search over them must be just as independent of `--jobs` and the
+/// engine. Mirrors `mbist synth-search --universe saf,tf,cfid --words 8
+/// --width 4 --ports 2 --budget 80 --seed 3`.
+#[test]
+fn multi_pass_search_is_byte_identical_across_jobs_and_engines() {
+    let options = SearchOptions {
+        geometry: MemGeometry::new(8, 4, 2),
+        classes: vec![
+            FaultClass::StuckAt,
+            FaultClass::Transition,
+            FaultClass::CouplingIdempotent,
+        ],
+        budget: 80,
+        seed: 3,
+        ..SearchOptions::default()
+    };
+    let run = |jobs, engine| {
+        let options = SearchOptions { jobs: Some(jobs), engine, ..options.clone() };
+        report_text(&search_march("found", &options), &options)
+    };
+    let serial = run(1, SimEngine::Packed);
+    assert!(serial.contains("on 8x4 (2-port)"), "{serial}");
+    assert_eq!(run(3, SimEngine::Packed), serial, "output depends on --jobs");
+    assert_eq!(run(1, SimEngine::Full), serial, "output depends on the engine");
 }
 
 #[test]

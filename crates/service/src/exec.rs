@@ -128,7 +128,10 @@ fn cached_trace(
     }
     shared.metrics.record_trace_lookup(false);
     // Two racing cold requests may both compile; the trace is immutable, so
-    // the second insert merely replaces an identical entry.
+    // the second insert merely replaces an identical entry. The stream is
+    // compiled through `from_steps`, not `CompiledTrace::compile`: it was
+    // expanded anyway to hash the canonical key that decided whether to
+    // compile at all, and both compilers yield the same trace.
     let trace = Arc::new(CompiledTrace::from_steps(*geometry, &steps));
     shared.cache.insert_trace(key, &trace);
     (key, trace, false)

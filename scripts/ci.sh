@@ -99,6 +99,33 @@ cli_full=$(cargo run -q --release -p mbist-cli -- synth-search \
     echo "synth-search output differs between packed and full engines"; exit 1; }
 echo "$cli_a" | grep -q "converged" || {
     echo "synth-search smoke did not converge"; exit 1; }
+# the same determinism for word-oriented two-port candidates, which compile
+# one pass per port x data background
+mp_a=$(cargo run -q --release -p mbist-cli -- synth-search \
+    --universe saf,tf,cfid --words 8 --width 4 --ports 2 --budget 80 --seed 3 --jobs 1)
+mp_b=$(cargo run -q --release -p mbist-cli -- synth-search \
+    --universe saf,tf,cfid --words 8 --width 4 --ports 2 --budget 80 --seed 3 --jobs 3)
+[ "$mp_a" = "$mp_b" ] || {
+    echo "multi-pass synth-search output differs across --jobs"; exit 1; }
+mp_full=$(cargo run -q --release -p mbist-cli -- synth-search \
+    --universe saf,tf,cfid --words 8 --width 4 --ports 2 --budget 80 --seed 3 --engine full)
+[ "$mp_a" = "$mp_full" ] || {
+    echo "multi-pass synth-search output differs between packed and full engines"
+    exit 1; }
+
+echo "==> benchmark output checks (BENCHMARK.json command, 1 s per workload)"
+# each workload checks its own outputs — coverage rows against the
+# full-engine expectations, recorded search outcomes, service replies
+# against the CLI — and reports them on its JSON line
+for workload in coverage_campaign search_synth serve_direct; do
+    bench_out=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml \
+        -- --workload "$workload" --seed 1 --seconds 1 --trace 0)
+    echo "$bench_out"
+    echo "$bench_out" | grep -q '"correct": true' || {
+        echo "benchmark $workload reports incorrect output"; exit 1; }
+    echo "$bench_out" | grep -q '"failed": 0,' || {
+        echo "benchmark $workload reports failed operations"; exit 1; }
+done
 
 echo "==> fault-injection smoke (one SEU per architecture: detect + recover)"
 for arch in microcode progfsm; do
