@@ -13,7 +13,7 @@
 //! trip per candidate) on a canonicalized search-shaped candidate stream,
 //! printing a `batched_vs_serial X.XXx` line CI gates on, and — in full
 //! mode — a wide 1024×1 / 11-class throughput row that exercises the
-//! non-batchable fallbacks too.
+//! per-fault paths too.
 //!
 //! Prints a human summary plus one `search OK` line per strategy that CI
 //! greps for (found coverage reaches the target AND the found test is no
@@ -396,9 +396,9 @@ fn main() {
     );
 
     // Full mode only: the wide 1024×1 row over every fault class, which
-    // drags in the non-batchable fallbacks (decoder faults keep the
-    // steps-free and sparse-support fast paths off) — sustained throughput
-    // on the heavy configuration, not an acceptance gate.
+    // drags in the per-fault paths (stuck-open and retention builds, and
+    // the decoder faults' sliced replay) — sustained throughput on the
+    // heavy configuration, not an acceptance gate.
     let wide = (!quick).then(|| {
         let wide_geometry = MemGeometry::bit_oriented(1024);
         let wide_options = SearchOptions {
@@ -491,12 +491,16 @@ fn main() {
         ]),
     );
     if let Some((wide_geometry, row)) = &wide {
+        // The strategy object's own braces come off exactly once each end:
+        // its nested "timing" object closes with the same character.
+        let row = strategy_json(row);
+        let fields = row.strip_prefix('{').and_then(|r| r.strip_suffix('}'));
         let _ = writeln!(
             json,
             "  \"wide\": {{\"geometry\": \"{}\", \"classes\": {}, {}}},",
             wide_geometry,
             FaultClass::ALL.len(),
-            strategy_json(row).trim_matches(['{', '}']),
+            fields.expect("strategy rows are JSON objects"),
         );
     }
     json.push_str("  \"references\": [\n");

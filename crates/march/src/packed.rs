@@ -68,6 +68,7 @@ use mbist_mem::{CellId, FaultKind};
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_STRIDE};
 use crate::fanout::{detect_one, WorkerScratch};
+use crate::sliced::{detect_sliced_with, SlicedScratch};
 use crate::trace::{CompiledTrace, FnvBuild, TraceOpKind};
 
 /// `u64` blocks per lane vector.
@@ -265,6 +266,7 @@ struct NpsfShape {
 
 /// One fault lowered to lane form: support cells plus the per-lane
 /// constants that parameterize the class's update rule.
+#[derive(Clone, Copy)]
 struct LaneSpec {
     class: LaneClass,
     vic: CellId,
@@ -283,12 +285,11 @@ struct LaneSpec {
 }
 
 /// Whether the packed engine simulates `fault` in a bit lane, as opposed
-/// to the per-fault path ([`detect_one`]) — the exact [`detect_chunk`]
-/// eligibility rule, and the basis of the routing breakdown in
-/// [`crate::coverage`]. The per-fault path may read any word and the
-/// step stream, so a [`UniversePlan`] declares a support set — and lets
-/// its candidates compile support-restricted — only when every universe
-/// fault is lane-packable.
+/// to the per-fault sliced replay ([`detect_one`]) — the exact
+/// [`detect_chunk`] and [`UniversePlan`] eligibility rule, and the basis
+/// of the routing breakdown in [`crate::coverage`]. Either way the fault
+/// reads only its own support words or decoder word pair
+/// ([`mark_replay_words`]).
 pub(crate) fn lane_packable(fault: FaultKind) -> bool {
     lane_spec(fault).is_some()
 }
@@ -394,6 +395,22 @@ fn lane_spec(fault: FaultKind) -> Option<LaneSpec> {
     }
 }
 
+/// Marks in `mask` the words the replay of `fault` reads: the words of its
+/// support cells, or its decoder word pair. Every fault kind has one or
+/// the other, so a [`UniversePlan`] can always declare the words its
+/// traces must carry.
+fn mark_replay_words(fault: FaultKind, mask: &mut [bool]) {
+    let mut mark = |word: u64| mask[usize::try_from(word).expect("word fits usize")] = true;
+    match (fault.support(), fault.decoder_words()) {
+        (Some(support), _) => support.cells().iter().for_each(|c| mark(c.word)),
+        (None, Some((a, b))) => {
+            mark(a);
+            mark(b);
+        }
+        (None, None) => unreachable!("{fault} has neither support cells nor decoder words"),
+    }
+}
+
 /// The per-lane state of a batch — live lane count, class and constant
 /// masks (bit `i` = lane `i`'s constant) — separated from the per-fault
 /// index bookkeeping so a precomputed [`UniversePlan`] can drive
@@ -492,9 +509,15 @@ impl Batch {
 }
 
 /// Builds the access program for a plain `(victim, aggressor)` support
-/// shape: the step-ordered merge of the victim- and aggressor-word op
-/// lists, projected onto the two support bits (see [`SigOp`]).
-fn build_plain(trace: &CompiledTrace, vic: CellId, agg: Option<CellId>) -> Vec<SigOp> {
+/// shape into `program`: the step-ordered merge of the victim- and
+/// aggressor-word op lists, projected onto the two support bits (see
+/// [`SigOp`]).
+fn build_plain(
+    trace: &CompiledTrace,
+    vic: CellId,
+    agg: Option<CellId>,
+    program: &mut Vec<SigOp>,
+) {
     let vic_bit = 1u64 << vic.bit;
     let rvic = |expected: Option<u64>, golden: u64| {
         expected.map(|e| SigOp::RVic {
@@ -502,7 +525,6 @@ fn build_plain(trace: &CompiledTrace, vic: CellId, agg: Option<CellId>) -> Vec<S
             base_mismatch: (e ^ golden) & !vic_bit != 0,
         })
     };
-    let mut program = Vec::new();
     match agg {
         // Single-cell fault: one op list, one projected bit.
         None => {
@@ -561,18 +583,23 @@ fn build_plain(trace: &CompiledTrace, vic: CellId, agg: Option<CellId>) -> Vec<S
             }
         }
     }
-    program
 }
 
-/// Builds the stuck-open program for one cell: writes vanish (the
-/// disconnected cell never stores), so the program is the word's reads,
-/// each resolving what the port's sense latch held — the lane's own
-/// previous observation when the previous port read was this word, the
-/// golden bit of that read otherwise.
-fn build_sof(trace: &CompiledTrace, cell: CellId, ports: u8) -> Vec<SigOp> {
+/// Builds the stuck-open program for one cell into `program`: writes
+/// vanish (the disconnected cell never stores), so the program is the
+/// word's reads, each resolving what the port's sense latch held — the
+/// lane's own previous observation when the previous port read was this
+/// word, the golden bit of that read otherwise. `last_self_read` is
+/// per-port scratch.
+fn build_sof(
+    trace: &CompiledTrace,
+    cell: CellId,
+    last_self_read: &mut Vec<Option<u32>>,
+    program: &mut Vec<SigOp>,
+) {
     let bit = 1u64 << cell.bit;
-    let mut last_self_read: Vec<Option<u32>> = vec![None; usize::from(ports)];
-    let mut program = Vec::new();
+    last_self_read.clear();
+    last_self_read.resize(usize::from(trace.geometry().ports()), None);
     for op in trace.ops_for_word(cell.word) {
         if let TraceOpKind::Read { expected, golden, prev_read } = op.kind {
             let port = usize::from(op.port.0);
@@ -590,16 +617,20 @@ fn build_sof(trace: &CompiledTrace, cell: CellId, ports: u8) -> Vec<SigOp> {
             last_self_read[port] = Some(op.step);
         }
     }
-    program
 }
 
-/// Builds the retention / pull-open program for one cell: writes commit
-/// normally, and each read carries the build-time decay verdict of the
-/// rule's schedule (wall-clock deadline or consecutive-read budget —
-/// both functions of the trace alone, never of the lane values).
-fn build_decay(trace: &CompiledTrace, cell: CellId, rule: DecayRule) -> Vec<SigOp> {
+/// Builds the retention / pull-open program for one cell into `program`:
+/// writes commit normally, and each read carries the build-time decay
+/// verdict of the rule's schedule (wall-clock deadline or consecutive-read
+/// budget — both functions of the trace alone, never of the lane values).
+/// The pull-open schedule reads only the op content, never a timestamp.
+fn build_decay(
+    trace: &CompiledTrace,
+    cell: CellId,
+    rule: DecayRule,
+    program: &mut Vec<SigOp>,
+) {
     let bit = 1u64 << cell.bit;
-    let mut program = Vec::new();
     let mut last_write_ns = 0.0f64;
     let mut consecutive_reads = 0u8;
     for op in trace.ops_for_word(cell.word) {
@@ -639,18 +670,17 @@ fn build_decay(trace: &CompiledTrace, cell: CellId, rule: DecayRule) -> Vec<SigO
             }
         }
     }
-    program
 }
 
-/// Builds the NPSF program for a five-distinct-word shape: a five-way
-/// step-ordered merge that tracks the golden values of the non-base
-/// support cells (they never deviate — the base is the only cell a
-/// neighborhood fault touches), resolving neighborhood activation and
+/// Builds the NPSF program for a five-distinct-word shape into `program`:
+/// a five-way step-ordered merge that tracks the golden values of the
+/// non-base support cells (they never deviate — the base is the only cell
+/// a neighborhood fault touches), resolving neighborhood activation and
 /// trigger events at build time.
-fn build_npsf(trace: &CompiledTrace, shape: &NpsfShape) -> Vec<SigOp> {
+fn build_npsf(trace: &CompiledTrace, shape: &NpsfShape, program: &mut Vec<SigOp>) {
     let base = shape.cells[0];
     let base_bit = 1u64 << base.bit;
-    let lists: Vec<_> = shape.cells.iter().map(|c| trace.ops_for_word(c.word)).collect();
+    let lists = shape.cells.map(|c| trace.ops_for_word(c.word));
     let mut cursor = [0usize; 5];
     // Golden values of the support cells (power-up 0); slot 0 (the base)
     // is unused — the base's stored value lives in the lanes.
@@ -658,7 +688,6 @@ fn build_npsf(trace: &CompiledTrace, shape: &NpsfShape) -> Vec<SigOp> {
     let matches_pattern = |held: &[bool; 5], from: usize| {
         (from..5).all(|k| held[k] == (shape.pattern >> (k - 1) & 1 == 1))
     };
-    let mut program = Vec::new();
     loop {
         let mut next: Option<usize> = None;
         for i in 0..5 {
@@ -707,7 +736,6 @@ fn build_npsf(trace: &CompiledTrace, shape: &NpsfShape) -> Vec<SigOp> {
             }
         }
     }
-    program
 }
 
 /// Canonicalizes a program for data background: if the first
@@ -766,8 +794,14 @@ fn canonicalize(program: &mut [SigOp]) -> bool {
 /// single-fault path in `mbist_mem::array` (and [`crate::sliced`]) onto
 /// the fault's support bits, in canonical space — the lane's real state is
 /// the canonical state XOR its flip bit, and the XOR cancels out of every
-/// detection comparison.
-fn run_batch(program: &[SigOp], batch: &LaneMasks, ports: u8) -> Lanes {
+/// detection comparison. `latch` is scratch for the per-port stuck-open
+/// sense latches.
+fn run_batch(
+    program: &[SigOp],
+    batch: &LaneMasks,
+    ports: u8,
+    latch: &mut Vec<Lanes>,
+) -> Lanes {
     let live = Lanes::first(batch.lanes);
     let splat = Lanes::splat;
     // SAF injection clamps the stored value immediately; everything else
@@ -776,7 +810,7 @@ fn run_batch(program: &[SigOp], batch: &LaneMasks, ports: u8) -> Lanes {
     let mut agg = batch.flip;
     // Per-port stuck-open sense latches (the value is unused until the
     // first read resolves it).
-    let mut latch: Vec<Lanes> = Vec::new();
+    latch.clear();
     if batch.class == LaneClass::StuckOpen {
         latch.resize(usize::from(ports), Lanes::ZERO);
     }
@@ -926,14 +960,33 @@ impl BuildKey {
 /// ([`BuildKey`]) and per canonical content (faults at different
 /// addresses — or complementary backgrounds — whose canonical programs
 /// coincide share one batch).
+///
+/// Every build writes into one reused buffer. The buffer is compared with
+/// the program the previous build resolved to before the content map is
+/// consulted (consecutive faults usually build the same program), and it
+/// is copied out only when its content is new.
 #[derive(Default)]
 struct Programs {
     store: Vec<Vec<SigOp>>,
     by_key: HashMap<BuildKey, (usize, bool), FnvBuild>,
     by_content: HashMap<Vec<SigOp>, usize, FnvBuild>,
+    /// The build buffer.
+    build: Vec<SigOp>,
+    /// Per-port scratch of the stuck-open builds.
+    self_reads: Vec<Option<u32>>,
+    /// The program the previous build resolved to.
+    last: Option<usize>,
 }
 
 impl Programs {
+    /// Forgets every program, keeping the buffers (the next trace).
+    fn clear(&mut self) {
+        self.store.clear();
+        self.by_key.clear();
+        self.by_content.clear();
+        self.last = None;
+    }
+
     /// Builds `spec`'s program, memoized per build key. Returns the
     /// canonical program id plus the flip this fault's lane must record.
     fn id_for(&mut self, trace: &CompiledTrace, spec: &LaneSpec) -> (usize, bool) {
@@ -949,26 +1002,34 @@ impl Programs {
     /// Builds (or content-dedups) the canonical program for one
     /// representative spec — the route-key paths call this once per key.
     fn id_for_content(&mut self, trace: &CompiledTrace, spec: &LaneSpec) -> (usize, bool) {
-        let mut program = match spec.class {
-            LaneClass::StuckOpen => build_sof(trace, spec.vic, trace.geometry().ports()),
+        let program = &mut self.build;
+        program.clear();
+        match spec.class {
+            LaneClass::StuckOpen => {
+                build_sof(trace, spec.vic, &mut self.self_reads, program)
+            }
             LaneClass::Decay => {
-                build_decay(trace, spec.vic, spec.decay.expect("decay rule"))
+                build_decay(trace, spec.vic, spec.decay.expect("decay rule"), program);
             }
             LaneClass::NpsfStatic | LaneClass::NpsfActive => {
-                build_npsf(trace, &spec.npsf.expect("npsf shape"))
+                build_npsf(trace, &spec.npsf.expect("npsf shape"), program);
             }
-            _ => build_plain(trace, spec.vic, spec.agg),
+            _ => build_plain(trace, spec.vic, spec.agg, program),
+        }
+        let flipped = canonicalize(program);
+        let id = match self.last {
+            Some(last) if self.store[last] == self.build => last,
+            _ => match self.by_content.get(self.build.as_slice()) {
+                Some(&id) => id,
+                None => {
+                    let id = self.store.len();
+                    self.store.push(self.build.clone());
+                    self.by_content.insert(self.build.clone(), id);
+                    id
+                }
+            },
         };
-        let flipped = canonicalize(&mut program);
-        let id = match self.by_content.get(&program) {
-            Some(&id) => id,
-            None => {
-                let id = self.store.len();
-                self.store.push(program.clone());
-                self.by_content.insert(program, id);
-                id
-            }
-        };
+        self.last = Some(id);
         (id, flipped)
     }
 }
@@ -1007,14 +1068,20 @@ enum RouteKey {
         pattern: u8,
         rising: bool,
     },
+    /// A pull-open fault: its program reads only op kinds, write data,
+    /// expectations and golden values — the content every word of a
+    /// monoclass trace carries identically — so it depends only on the
+    /// bit position and the read budget.
+    PullOpen { bit: u8, good_reads: u8 },
 }
 
 /// The route of `spec` on a monoclass trace (`uniform`: whether it also
 /// certifies address-uniform interleave), or `None` when the program must
 /// be resolved through the [`BuildKey`] memo instead: inter-word pairs
-/// and NPSF without the uniform certificate, and the stuck-open/decay
-/// families, whose programs fold by content, not by a trace-independent
-/// key (cheap — their builds walk one op list).
+/// and NPSF without the uniform certificate, and the stuck-open and
+/// retention families, whose programs depend on the word's place in the
+/// stream (sense history, timestamps) and fold by content, not by a
+/// trace-independent key (cheap — their builds walk one op list).
 fn route_of(spec: &LaneSpec, uniform: bool) -> Option<RouteKey> {
     match spec.class {
         LaneClass::StuckAt
@@ -1051,6 +1118,12 @@ fn route_of(spec: &LaneSpec, uniform: bool) -> Option<RouteKey> {
                 rising: shape.rising,
             })
         }
+        LaneClass::Decay => match spec.decay {
+            Some(DecayRule::PullOpen { good_reads }) => {
+                Some(RouteKey::PullOpen { bit: spec.vic.bit, good_reads })
+            }
+            _ => None,
+        },
         _ => None,
     }
 }
@@ -1081,6 +1154,7 @@ pub(crate) fn detect_chunk(
     let uniform = trace.uniform_interleave();
     let miscompares = trace.golden_miscompares();
     let ports = trace.geometry().ports();
+    let mut latch = Vec::new();
     for (index, &fault) in faults.iter().enumerate() {
         // Batch flags land out of chunk order, so a cancelled chunk cannot
         // return a meaningful prefix: hand back an empty (clearly partial)
@@ -1115,7 +1189,8 @@ pub(crate) fn detect_chunk(
         if cancel.is_cancelled() {
             return Vec::new();
         }
-        let detected = run_batch(&programs.store[batch.program], &batch.masks, ports);
+        let detected =
+            run_batch(&programs.store[batch.program], &batch.masks, ports, &mut latch);
         for (lane, &index) in batch.faults.iter().enumerate() {
             flags[index] = detected.get(lane);
         }
@@ -1134,19 +1209,15 @@ fn refill(batches: &mut Vec<Batch>, slot: &mut usize, class: LaneClass) -> usize
     *slot
 }
 
-/// One batch of a [`UniversePlan`]: raw (never-flipped) lane masks, ready
-/// to be re-based by the group's canonicalization flip at scoring time.
-struct PlanSlot {
-    masks: LaneMasks,
-}
-
 /// A route-key group of a [`UniversePlan`]: every member provably shares
 /// one canonical program on any trace satisfying the planned signature, so
 /// one representative build serves every slot.
 struct PlanGroup {
     /// First member in universe order — the build representative.
-    rep: FaultKind,
-    slots: Vec<PlanSlot>,
+    rep: LaneSpec,
+    /// The group's batches as raw (never-flipped) lane masks, re-based by
+    /// the group's canonicalization flip at scoring time.
+    slots: Vec<LaneMasks>,
 }
 
 /// A trace as a [`UniversePlan`] reads it: either a complete
@@ -1165,37 +1236,65 @@ impl<'a> From<&'a CompiledTrace> for SupportTrace<'a> {
     }
 }
 
+/// The buffers a [`UniversePlan`] reuses from one candidate to the next:
+/// the program store with its build buffer, the open batches of the
+/// per-fault builds, and the sense-latch scratch of the lane and sliced
+/// replays.
+#[derive(Default)]
+pub(crate) struct PlanScratch {
+    programs: Programs,
+    /// The open batch of each `(class, program)` of the per-fault builds.
+    open: HashMap<(LaneClass, usize), LaneMasks, FnvBuild>,
+    latch: Vec<Lanes>,
+    sliced: SlicedScratch,
+}
+
 /// A fault universe pre-batched for repeated scoring against many traces
 /// of one shape — the synthesis hot path, where thousands of candidate
 /// traces are scored against one fixed universe.
 ///
-/// [`detect_chunk`] spends most of a scoring call on per-fault routing
+/// [`detect_chunk`] spends much of a scoring call on per-fault routing
 /// (a `lane_spec` lowering plus a hash lookup per fault) and per-call map
 /// allocation, all of which produce the *same* grouping for every
 /// candidate: every expanded march is monoclass, address-uniform on three
 /// or more words, and — for canonical candidates — clean. Under that
-/// signature (checked by [`Self::applies`]) the batch route of every plain
-/// and NPSF fault is a function of the fault alone ([`route_of`] with
-/// `uniform = true`), so the grouping — lane order, per-lane constant
-/// masks, batch membership — is computed once here and replayed against
-/// each candidate with just one program build per group and one
-/// [`run_batch`] per slot.
+/// signature (checked by [`Self::applies`]) the plan scores every fault
+/// itself, on one of three paths fixed at plan time:
 ///
-/// Stuck-open, decay, decoder and overlapping-NPSF faults keep their
-/// exact per-trace routing through [`detect_chunk`] (the `rest` list);
-/// verdicts are identical either way — per-lane updates never depend on
-/// batch composition — so a planned count always equals the engine count.
+/// - **Route groups.** The batch route of every plain, NPSF and pull-open
+///   fault is a function of the fault alone ([`route_of`] with
+///   `uniform = true`), so the grouping — lane order, per-lane constant
+///   masks, batch membership — is computed once here, and a candidate
+///   costs one program build per group and one [`run_batch`] per slot.
+/// - **Per-fault builds.** Stuck-open and retention programs depend on
+///   the word's place in the stream, so those faults are lowered to
+///   [`LaneSpec`]s once, one list per [`BuildKey`]. Per candidate, each
+///   list's program is built, resolved against the programs the candidate
+///   already built, and its lanes are appended to that program's open
+///   batch.
+/// - **Sliced replay.** Faults with no lane form (decoder faults, NPSF
+///   neighborhoods that reuse a word) take the per-fault sliced replay.
+///
+/// Every path reads only the support words or decoder words of the
+/// faults it replays (a group: of its representative), never the step
+/// stream, so the plan always declares its support set and candidates
+/// compile support-restricted whatever the universe. Verdicts are
+/// identical to the engine's — per-lane updates never depend on batch
+/// composition — so a planned count always equals the engine count.
 pub(crate) struct UniversePlan {
     geometry: mbist_mem::MemGeometry,
     groups: Vec<PlanGroup>,
-    /// Faults scored through [`detect_chunk`] (in universe order).
-    rest: Vec<FaultKind>,
-    /// The words whose op lists [`Self::count_detected`] reads, when every
-    /// universe fault lane-packs: the support cells of each group's
-    /// representative (programs are built once per group from it) plus
-    /// every cell of the rest. `None` when some fault takes the per-fault
-    /// path, which may read any word and the step stream.
-    support: Option<Vec<bool>>,
+    /// Stuck-open and retention faults in lane form, one list per build
+    /// key (in universe order).
+    builds: Vec<Vec<LaneSpec>>,
+    /// Faults with no lane form, for the sliced replay (in universe
+    /// order).
+    sliced: Vec<FaultKind>,
+    /// The words whose op lists [`Self::count_detected`] reads: the
+    /// support words of each group's representative (the group's program
+    /// is built from it alone) and of every other lane fault, and the
+    /// support words or decoder word pair of each sliced fault.
+    support: Vec<bool>,
 }
 
 impl UniversePlan {
@@ -1203,53 +1302,52 @@ impl UniversePlan {
     /// planned signature.
     pub(crate) fn new(geometry: mbist_mem::MemGeometry, universe: &[FaultKind]) -> Self {
         let mut groups: Vec<PlanGroup> = Vec::new();
-        let mut by_key: HashMap<RouteKey, usize, FnvBuild> = HashMap::with_hasher(FnvBuild);
-        let mut rest = Vec::new();
+        let mut by_route: HashMap<RouteKey, usize, FnvBuild> =
+            HashMap::with_hasher(FnvBuild);
+        let mut builds: Vec<Vec<LaneSpec>> = Vec::new();
+        let mut by_build: HashMap<BuildKey, usize, FnvBuild> =
+            HashMap::with_hasher(FnvBuild);
+        let mut sliced = Vec::new();
+        let mut support =
+            vec![false; usize::try_from(geometry.words()).expect("words fit")];
         for &fault in universe {
             let Some(spec) = lane_spec(fault) else {
-                rest.push(fault);
+                mark_replay_words(fault, &mut support);
+                sliced.push(fault);
                 continue;
             };
             let Some(key) = route_of(&spec, true) else {
-                rest.push(fault);
+                mark_replay_words(fault, &mut support);
+                let bi = *by_build.entry(BuildKey::of(&spec)).or_insert_with(|| {
+                    builds.push(Vec::new());
+                    builds.len() - 1
+                });
+                builds[bi].push(spec);
                 continue;
             };
-            let gi = match by_key.entry(key) {
+            let gi = match by_route.entry(key) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
-                    groups.push(PlanGroup { rep: fault, slots: Vec::new() });
+                    mark_replay_words(fault, &mut support);
+                    groups.push(PlanGroup { rep: spec, slots: Vec::new() });
                     *e.insert(groups.len() - 1)
                 }
             };
-            let group = &mut groups[gi];
-            if group.slots.last().is_none_or(|s| s.masks.lanes == LANES) {
-                group.slots.push(PlanSlot { masks: LaneMasks::new(spec.class) });
+            let slots = &mut groups[gi].slots;
+            if slots.last().is_none_or(|s| s.lanes == LANES) {
+                slots.push(LaneMasks::new(spec.class));
             }
-            let slot = group.slots.last_mut().expect("slot just ensured");
             // Raw space: flip correction is applied per trace at scoring
             // time, pre-detection is impossible under a clean golden replay.
-            slot.masks.push(&spec, false, false);
+            slots.last_mut().expect("slot just ensured").push(&spec, false, false);
         }
-        let reps = groups.iter().map(|g| g.rep).chain(rest.iter().copied());
-        let specs: Option<Vec<LaneSpec>> = reps.map(lane_spec).collect();
-        let support = specs.map(|specs| {
-            let mut mask =
-                vec![false; usize::try_from(geometry.words()).expect("words fit")];
-            for spec in specs {
-                let npsf = spec.npsf.iter().flat_map(|shape| shape.cells);
-                for cell in std::iter::once(spec.vic).chain(spec.agg).chain(npsf) {
-                    mask[usize::try_from(cell.word).expect("word fits usize")] = true;
-                }
-            }
-            mask
-        });
-        Self { geometry, groups, rest, support }
+        Self { geometry, groups, builds, sliced, support }
     }
 
     /// The support set a [`SupportTrace`] for this plan must cover (see
-    /// the field doc); `None` asks for complete traces.
-    pub(crate) fn support(&self) -> Option<&[bool]> {
-        self.support.as_deref()
+    /// the field doc).
+    pub(crate) fn support(&self) -> &[bool] {
+        &self.support
     }
 
     /// Whether the plan's soundness preconditions hold for `trace` (same
@@ -1271,7 +1369,7 @@ impl UniversePlan {
         &self,
         trace: SupportTrace<'_>,
         stop_after: Option<usize>,
-        scratch: &mut WorkerScratch,
+        scratch: &mut PlanScratch,
     ) -> Option<usize> {
         let trace = trace.0;
         if !self.applies(trace) {
@@ -1282,23 +1380,46 @@ impl UniversePlan {
             return Some(0);
         }
         let ports = trace.geometry().ports();
-        let mut programs = Programs::default();
+        let PlanScratch { programs, open, latch, sliced } = scratch;
+        programs.clear();
+        open.clear();
         let mut count = 0usize;
         for group in &self.groups {
-            let spec = lane_spec(group.rep).expect("plan groups are lane-packable");
-            let (pid, flipped) = programs.id_for_content(trace, &spec);
-            let program = &programs.store[pid];
-            for slot in &group.slots {
-                let masks = slot.masks.flip_corrected(flipped);
-                count += run_batch(program, &masks, ports).count();
+            let (pid, flipped) = programs.id_for_content(trace, &group.rep);
+            for masks in &group.slots {
+                let masks = masks.flip_corrected(flipped);
+                count += run_batch(&programs.store[pid], &masks, ports, latch).count();
                 if count >= stop {
                     return Some(stop);
                 }
             }
         }
-        for chunk in self.rest.chunks(LANES) {
-            let flags = detect_chunk(trace, chunk, scratch, &CancelToken::none());
-            count += flags.iter().filter(|&&f| f).count();
+        for build in &self.builds {
+            let (pid, flipped) = programs.id_for_content(trace, &build[0]);
+            for spec in build {
+                let masks = open
+                    .entry((spec.class, pid))
+                    .or_insert_with(|| LaneMasks::new(spec.class));
+                masks.push(spec, flipped, false);
+                if masks.lanes == LANES {
+                    count += run_batch(&programs.store[pid], masks, ports, latch).count();
+                    *masks = LaneMasks::new(spec.class);
+                    if count >= stop {
+                        return Some(stop);
+                    }
+                }
+            }
+        }
+        for (&(_, pid), masks) in open.iter().filter(|(_, masks)| masks.lanes > 0) {
+            count += run_batch(&programs.store[pid], masks, ports, latch).count();
+            if count >= stop {
+                return Some(stop);
+            }
+        }
+        for &fault in &self.sliced {
+            let detected = detect_sliced_with(trace, fault, sliced)
+                .expect("every fault has support cells or decoder words");
+            count += usize::from(detected);
             if count >= stop {
                 return Some(stop);
             }
@@ -1525,6 +1646,30 @@ mod tests {
         }
     }
 
+    /// A hand-made static NPSF whose neighborhood reuses word 1.
+    fn overlapping_npsf() -> FaultKind {
+        FaultKind::NpsfStatic {
+            base: CellId::new(0, 0),
+            neighborhood: [
+                (CellId::new(1, 0), true),
+                (CellId::new(2, 0), false),
+                (CellId::new(3, 0), true),
+                (CellId::new(1, 1), false),
+            ],
+            forced: true,
+        }
+    }
+
+    /// Every fault's replay reads a bounded set of words — its support
+    /// cells or its decoder word pair — which is what lets a plan always
+    /// declare its support set.
+    fn assert_bounded_support(fault: FaultKind) {
+        assert!(
+            fault.support().is_some() || fault.decoder_words().is_some(),
+            "{fault} has neither support cells nor decoder words"
+        );
+    }
+
     #[test]
     fn only_decoder_faults_take_the_fallback() {
         // Every address-local class lane-packs now; decoder faults are the
@@ -1540,55 +1685,108 @@ mod tests {
                     expect,
                     "{fault} routed to the wrong path"
                 );
+                assert_bounded_support(fault);
             }
         }
         // Hand-made NPSF neighborhoods that reuse a word do not lane-pack
         // (the five support words must be pairwise distinct) and fall back
         // per fault.
-        let overlapping = FaultKind::NpsfStatic {
-            base: CellId::new(0, 0),
-            neighborhood: [
-                (CellId::new(1, 0), true),
-                (CellId::new(2, 0), false),
-                (CellId::new(3, 0), true),
-                (CellId::new(1, 1), false),
-            ],
-            forced: true,
-        };
+        let overlapping = overlapping_npsf();
         assert!(!lane_packable(overlapping));
+        assert_bounded_support(overlapping);
+    }
+
+    /// The planned count of `universe` against `test` must equal the
+    /// full-replay oracle's (and the packed engine's), capped and uncapped,
+    /// on a complete trace and on the arena's support-restricted compile.
+    fn assert_plan_matches(
+        g: MemGeometry,
+        universe: &[FaultKind],
+        test: &crate::MarchTest,
+        what: &str,
+    ) {
+        use crate::trace::{SimEngine, TraceArena};
+        let opts = ExpandOptions::for_geometry(&g);
+        let plan = UniversePlan::new(g, universe);
+        let trace = CompiledTrace::compile(test, &g, &opts);
+        assert!(plan.applies(&trace), "{what}: signature must hold");
+        let total = trace.count_detected(universe, SimEngine::Full, None);
+        assert_eq!(
+            trace.count_detected(universe, SimEngine::Packed, None),
+            total,
+            "{what}: packed engine diverges from full replay"
+        );
+        let mut arena = TraceArena::new();
+        let mut scratch = PlanScratch::default();
+        for cap in [
+            None,
+            Some(0),
+            Some(1),
+            Some(total.saturating_sub(1)),
+            Some(total),
+            Some(total + 10),
+        ] {
+            let want = Some(cap.map_or(total, |c| total.min(c)));
+            let complete = plan.count_detected((&trace).into(), cap, &mut scratch);
+            assert_eq!(complete, want, "{what}: complete trace, cap {cap:?}");
+            let part = arena.compile_support(test, &g, &opts, &plan);
+            let part = plan.count_detected(part, cap, &mut scratch);
+            assert_eq!(part, want, "{what}: support-restricted trace, cap {cap:?}");
+        }
+    }
+
+    /// Decay schedules a default universe does not reach: pull-open faults
+    /// with read budgets 1, 2 and 3 in one universe (a route key that
+    /// dropped the budget would build them all alike), and retention
+    /// faults whose deadline falls inside `test`'s trace or beyond its end.
+    fn decay_schedules(g: MemGeometry, test: &crate::MarchTest) -> Vec<FaultKind> {
+        let trace = CompiledTrace::compile(test, &g, &ExpandOptions::for_geometry(&g));
+        let duration = (0..g.words())
+            .flat_map(|w| trace.ops_for_word(w))
+            .map(|op| op.now_ns)
+            .fold(0.0, f64::max);
+        let pull_open = (1..=3).flat_map(|pull_open_good_reads| {
+            let spec = UniverseSpec { pull_open_good_reads, ..UniverseSpec::default() };
+            class_universe(&g, FaultClass::PullOpen, &spec)
+        });
+        let retention =
+            [duration / 3.0, duration * 2.0].into_iter().flat_map(|retention_ns| {
+                let spec = UniverseSpec { retention_ns, ..UniverseSpec::default() };
+                class_universe(&g, FaultClass::Retention, &spec)
+            });
+        pull_open.chain(retention).collect()
     }
 
     #[test]
     fn universe_plan_matches_engine_counts_exactly() {
-        use crate::trace::SimEngine;
         use mbist_mem::subset_universe;
-        // Every class — including the rest-list families (stuck-open,
-        // decay, decoder) — across several library tests: the planned count
-        // must equal the engine count, capped and uncapped.
-        let g = MemGeometry::bit_oriented(24);
+        // Every class, so every plan path — route groups, per-fault builds
+        // and the sliced replay (decoder faults, and an overlapping NPSF
+        // where the width allows) — across bit- and word-oriented and
+        // two-port geometries, plus the decay schedules above. March C+ and
+        // C++ add the pauses and triple reads that drive retention
+        // deadlines, pull-open drains and stuck-open self-latches.
         let spec = UniverseSpec::default();
-        let universe = subset_universe(&g, &FaultClass::ALL, &spec, 64);
-        let plan = UniversePlan::new(g, &universe);
-        for test in [library::mats(), library::march_c(), library::march_b()] {
-            let steps = expand_with(&test, &g, &ExpandOptions::for_geometry(&g));
-            let trace = CompiledTrace::from_steps(g, &steps);
-            assert!(plan.applies(&trace), "{}: signature must hold", test.name());
-            let total = trace.count_detected(&universe, SimEngine::Packed, None);
-            let mut scratch = WorkerScratch::default();
-            let mut planned = |cap| plan.count_detected((&trace).into(), cap, &mut scratch);
-            assert_eq!(
-                planned(None),
-                Some(total),
-                "{}: planned total diverges",
-                test.name()
-            );
-            for cap in [0, 1, total.saturating_sub(1), total, total + 10] {
-                assert_eq!(
-                    planned(Some(cap)),
-                    Some(total.min(cap)),
-                    "{}: cap {cap}",
-                    test.name()
-                );
+        for g in [
+            MemGeometry::bit_oriented(24),
+            MemGeometry::word_oriented(8, 4),
+            MemGeometry::new(12, 1, 2),
+        ] {
+            let mut universe = subset_universe(&g, &FaultClass::ALL, &spec, 64);
+            if g.width() > 1 {
+                universe.push(overlapping_npsf());
+            }
+            for test in [
+                library::mats(),
+                library::march_c(),
+                library::march_b(),
+                library::march_c_plus(),
+                library::march_c_plus_plus(),
+            ] {
+                let what = format!("{} on {g}", test.name());
+                assert_plan_matches(g, &universe, &test, &what);
+                let decay = decay_schedules(g, &test);
+                assert_plan_matches(g, &decay, &test, &format!("{what}, decay schedules"));
             }
         }
     }
@@ -1641,12 +1839,44 @@ mod tests {
         ];
         let universe = subset_universe(&g, &classes, &UniverseSpec::default(), 256);
         let plan = UniversePlan::new(g, &universe);
-        assert!(plan.rest.is_empty(), "all five classes are plan-routable");
+        assert!(
+            plan.builds.is_empty() && plan.sliced.is_empty(),
+            "all five classes are plan-routable"
+        );
         assert!(
             plan.groups.len() <= 16,
             "{} groups for {} faults",
             plan.groups.len(),
             universe.len()
+        );
+        // The search benchmark's nine-class universe: only decoder faults
+        // take the sliced replay, and every pull-open fault sits in a route
+        // group, so per candidate only the stuck-open and retention faults
+        // build per fault.
+        let universe =
+            subset_universe(&g, &FaultClass::ALL[..9], &UniverseSpec::default(), 256);
+        let plan = UniversePlan::new(g, &universe);
+        assert!(!plan.sliced.is_empty());
+        assert!(
+            plan.sliced.iter().all(|f| f.class() == FaultClass::AddressDecoder),
+            "only decoder faults lack a lane form"
+        );
+        let is_pull_open =
+            |spec: &LaneSpec| matches!(spec.decay, Some(DecayRule::PullOpen { .. }));
+        let grouped: usize = plan
+            .groups
+            .iter()
+            .filter(|group| is_pull_open(&group.rep))
+            .flat_map(|group| &group.slots)
+            .map(|masks| masks.lanes)
+            .sum();
+        let pull_open =
+            universe.iter().filter(|f| f.class() == FaultClass::PullOpen).count();
+        assert!(pull_open > 0);
+        assert_eq!(grouped, pull_open, "every pull-open fault sits in a group");
+        assert!(
+            plan.builds.iter().flatten().all(|spec| !is_pull_open(spec)),
+            "no pull-open fault builds per fault"
         );
     }
 }

@@ -6,11 +6,14 @@
 //! module owns the per-candidate hot path and fans *candidates* across
 //! workers:
 //!
-//! - each worker keeps a [`TraceArena`] (allocation-free recompilation
-//!   with element-prefix reuse) and a simulation scratch;
+//! - each worker keeps a [`TraceArena`] (recompilation into reused
+//!   buffers, with element-prefix reuse) and simulation scratch;
 //! - the packed engine scores through a [`UniversePlan`]
 //!   (`crate::packed`): the universe's batch grouping is precomputed once
-//!   and replayed per candidate, so per-candidate routing work vanishes;
+//!   and replayed per candidate, so per-candidate work scales with the
+//!   number of distinct access programs, not the number of faults, and
+//!   candidates compile only the plan's support words, with no step
+//!   stream;
 //! - scoring stops early once `stop_after` detections are decided (the
 //!   lexicographic fitness only compares `min(detected, target)`).
 //!
@@ -27,15 +30,17 @@ use mbist_mem::{FaultKind, MemGeometry};
 use crate::cancel::CancelToken;
 use crate::expand::ExpandOptions;
 use crate::fanout::{resolve_jobs, WorkerScratch, MIN_CANDIDATES_PER_WORKER};
-use crate::packed::UniversePlan;
+use crate::packed::{PlanScratch, UniversePlan};
 use crate::test::MarchTest;
 use crate::trace::{SimEngine, TraceArena};
 
-/// Per-worker scoring state: the reusable compile arena, the simulation
-/// scratch, and the worker's share of the compile/simulate time split.
+/// Per-worker scoring state: the reusable compile arena, the planned and
+/// general simulation scratch, and the worker's share of the
+/// compile/simulate time split.
 #[derive(Default)]
 struct EvalWorker {
     arena: TraceArena,
+    plan: PlanScratch,
     scratch: WorkerScratch,
     compile_ns: u64,
     simulate_ns: u64,
@@ -44,9 +49,18 @@ struct EvalWorker {
 /// Scores batches of candidate march tests against one fixed universe.
 ///
 /// Construction precomputes everything reusable across candidates (the
-/// packed engine's [`UniversePlan`]); scoring reuses per-worker arenas, so
-/// steady-state evaluation allocates nothing. One scorer serves one
-/// `(geometry, expand options, universe, engine)` configuration.
+/// packed engine's [`UniversePlan`]). Scoring reuses each worker's compile
+/// arena and plan scratch — trace buffers, program build buffer, program
+/// store and maps, open batches, sense latches. Besides a batch's own
+/// bookkeeping (result slots, one sort key per candidate), a packed
+/// candidate still allocates two things in the steady state: the arena's
+/// copy of its items past the prefix shared with the previous candidate
+/// (the next prefix key), and the distinct access programs it resolves,
+/// each copied out of the build buffer into the program store and as its
+/// content-map key. Candidates the plan declines, and the full engine, go
+/// through the general engine path, which allocates its flag and batch
+/// vectors per call. One scorer serves one `(geometry, expand options,
+/// universe, engine)` configuration.
 ///
 /// # Examples
 ///
@@ -74,7 +88,7 @@ pub struct CandidateBatchScorer {
     engine: SimEngine,
     /// Precomputed packed batching (`None` for the full engine — per-trace
     /// eligibility is still re-checked per candidate). Worker arenas
-    /// compile candidates for it support-restricted when it allows.
+    /// compile candidates for it support-restricted.
     plan: Option<UniversePlan>,
     workers: Vec<EvalWorker>,
 }
@@ -299,13 +313,13 @@ fn score_candidate(
     let planned = plan.and_then(|plan| {
         let trace = worker.arena.compile_support(test, geometry, expand, plan);
         t1 = Instant::now();
-        plan.count_detected(trace, stop_after, &mut worker.scratch)
+        plan.count_detected(trace, stop_after, &mut worker.plan)
     });
     // When the plan declines the candidate (golden miscompares, or a
     // geometry too small for the uniform certificate), the general engine
-    // reads arbitrary words, so it gets a complete compile. The search
-    // never produces such candidates (canonical tests replay clean), so the
-    // second compile stays off the hot path.
+    // may read any word and the step stream, so it gets a complete
+    // compile. The search never produces such candidates (canonical tests
+    // replay clean), so the second compile stays off the hot path.
     let detected = planned.unwrap_or_else(|| {
         let trace = worker.arena.compile(test, geometry, expand);
         t1 = Instant::now();
@@ -337,7 +351,7 @@ mod tests {
     }
 
     /// Every fault class but AF: the whole universe lane-packs, so the
-    /// packed scorer compiles candidates support-restricted.
+    /// plan's sliced replay stays idle.
     fn packable() -> Vec<FaultClass> {
         FaultClass::ALL.into_iter().filter(|&c| c != FaultClass::AddressDecoder).collect()
     }
@@ -346,7 +360,8 @@ mod tests {
     fn batch_scores_equal_serial_reference_for_every_engine() {
         // Bit-oriented single-pass candidates, and word-oriented two-port
         // ones that compile one pass per port × background; universes with
-        // AF (complete compiles) and without (support-restricted ones).
+        // AF (whose decoder faults take the plan's sliced replay) and
+        // without.
         let batch: Vec<MarchTest> = library::all();
         for g in [MemGeometry::bit_oriented(16), MemGeometry::new(8, 4, 2)] {
             for classes in [FaultClass::ALL.to_vec(), packable()] {

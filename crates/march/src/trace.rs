@@ -931,8 +931,9 @@ impl CompiledTrace {
 ///
 /// One arena owns a [`CompiledTrace`] slot and the compiler's scratch, so
 /// recompiling a stream of similar candidates under one configuration
-/// reaches an allocation-free steady state: the step stream and per-word
-/// op lists keep their capacity across compiles.
+/// reuses its buffers: the step stream and per-word op lists keep their
+/// capacity across compiles, and only the items past the shared prefix
+/// are copied (they key the next compile's prefix reuse).
 ///
 /// The arena also checkpoints the fault-free replay state at every item
 /// boundary of the first pass (the first port × background): a candidate
@@ -983,10 +984,9 @@ impl TraceArena {
         self.compile_with(test, geometry, options, None)
     }
 
-    /// Compiles `test` for `plan` alone: when the plan declares a support
-    /// set ([`UniversePlan::support`]), only those words' op lists are
-    /// recorded and the step stream is skipped; otherwise the compile is
-    /// complete. Either way the result is a [`SupportTrace`], which only
+    /// Compiles `test` for `plan` alone: only the op lists of the plan's
+    /// support words ([`UniversePlan::support`]) are recorded, and no step
+    /// stream. The result is a [`SupportTrace`], which only
     /// [`UniversePlan::count_detected`] accepts.
     ///
     /// # Panics
@@ -999,7 +999,7 @@ impl TraceArena {
         options: &ExpandOptions,
         plan: &UniversePlan,
     ) -> SupportTrace<'_> {
-        SupportTrace::from(self.compile_with(test, geometry, options, plan.support()))
+        SupportTrace::from(self.compile_with(test, geometry, options, Some(plan.support())))
     }
 
     /// Shared body of both compiles: roll back to the last checkpoint the

@@ -156,8 +156,10 @@ pub const MAX_SUPPORT_CELLS: usize = 5;
 /// only the operations that touch these cells (sliced differential fault
 /// simulation) — every other address behaves exactly as the fault-free
 /// golden trace. Faults whose behavior is *not* address-local
-/// (address-decoder faults, which remap or fan out accesses globally)
-/// have no support set and require a full replay.
+/// (address-decoder faults, which remap or fan out accesses) have no
+/// support set; their deviations stay within the two words
+/// [`FaultKind::decoder_words`] names, so every fault kind has one bounded
+/// set of words or the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupportSet {
     cells: [CellId; MAX_SUPPORT_CELLS],

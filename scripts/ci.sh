@@ -112,6 +112,26 @@ mp_full=$(cargo run -q --release -p mbist-cli -- synth-search \
 [ "$mp_a" = "$mp_full" ] || {
     echo "multi-pass synth-search output differs between packed and full engines"
     exit 1; }
+# ...and on a nine-class universe whose stuck-open, retention, pull-open
+# and decoder faults take the packed plan's per-fault builds, pull-open
+# route groups and sliced replay, in a bit-oriented and a word-oriented
+# two-port configuration
+nine=saf,tf,cfin,cfid,cfst,af,sof,drf,puf
+for cfg in "--words 32 --budget 150 --seed 5" \
+    "--words 8 --width 4 --ports 2 --budget 80 --seed 3"; do
+    # $cfg is left unquoted on purpose: it splits into flags
+    nine_a=$(cargo run -q --release -p mbist-cli -- synth-search \
+        --universe "$nine" $cfg --jobs 1)
+    nine_b=$(cargo run -q --release -p mbist-cli -- synth-search \
+        --universe "$nine" $cfg --jobs 3)
+    [ "$nine_a" = "$nine_b" ] || {
+        echo "nine-class synth-search ($cfg) differs across --jobs"; exit 1; }
+    nine_full=$(cargo run -q --release -p mbist-cli -- synth-search \
+        --universe "$nine" $cfg --engine full)
+    [ "$nine_a" = "$nine_full" ] || {
+        echo "nine-class synth-search ($cfg) differs between packed and full engines"
+        exit 1; }
+done
 
 echo "==> benchmark output checks (BENCHMARK.json command, 1 s per workload)"
 # each workload checks its own outputs — coverage rows against the
