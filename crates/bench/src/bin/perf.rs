@@ -1,15 +1,13 @@
 //! Std-only coverage-engine performance harness.
 //!
-//! Measures fault simulation in three modes on the same sampled fault
+//! Measures fault simulation in two modes on the same sampled fault
 //! universes:
 //!
 //! - `detect_jobs1`: the full-replay oracle, early exit at the first
 //!   miscompare, forced serial (`jobs = 1`);
 //! - `packed`: the lane-packed bit-parallel engine (256 congruent faults
 //!   per `[u64; 4]` lane-block batch, per-fault sliced replay for the
-//!   decoder class), forced serial;
-//! - `packed_parallel`: the packed engine with the host's available
-//!   parallelism.
+//!   decoder class), which always runs on the calling thread.
 //!
 //! Every mode must agree on the detection count; each `(test, geometry)`
 //! pair prints an `agreement OK` line that CI greps for. Each geometry also
@@ -46,11 +44,8 @@ const SEED_FAULTS_PER_SEC: f64 = 1288.0;
 const SEED_WORDS: u64 = 1024;
 
 /// Mode name, worker count and engine, in run order (slowest first).
-const MODES: [(&str, Option<usize>, SimEngine); 3] = [
-    ("detect_jobs1", Some(1), SimEngine::Full),
-    ("packed", Some(1), SimEngine::Packed),
-    ("packed_parallel", None, SimEngine::Packed),
-];
+const MODES: [(&str, Option<usize>, SimEngine); 2] =
+    [("detect_jobs1", Some(1), SimEngine::Full), ("packed", Some(1), SimEngine::Packed)];
 
 struct Entry {
     test: String,
@@ -240,7 +235,6 @@ fn main() {
     };
     let detect = pick("detect_jobs1");
     let packed = pick("packed");
-    let packed_parallel = pick("packed_parallel");
     let vs_seed = |e: &Entry| {
         (e.geometry.words() == SEED_WORDS).then(|| e.faults_per_sec() / SEED_FAULTS_PER_SEC)
     };
@@ -248,8 +242,6 @@ fn main() {
         ("detect_vs_seed", vs_seed(detect)),
         ("packed_vs_seed", vs_seed(packed)),
         ("packed_vs_detect", Some(ratio(detect, packed))),
-        ("packed_parallel_vs_detect", Some(ratio(detect, packed_parallel))),
-        ("packed_parallel_vs_packed", Some(ratio(packed, packed_parallel))),
     ];
     println!();
     println!(

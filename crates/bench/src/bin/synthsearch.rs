@@ -158,10 +158,13 @@ struct HeadToHead {
 }
 
 /// The batched oracle against the serial legacy path on the same
-/// candidates, same universe, same early-exit bound — identical counts
-/// asserted, wall clocks compared. The scorer is constructed outside the
-/// timed region, mirroring a real search (the universe plan is built once
-/// per run and amortized over the whole budget).
+/// candidates and universe, both counting every detection (no early-exit
+/// cap) — identical counts asserted, wall clocks compared. The serial side
+/// runs one `expand → compile → detect` round trip per candidate on one
+/// thread; the batched side fans candidates out at the search default
+/// worker count. The scorer is constructed outside the timed region,
+/// mirroring a real search (the universe plan is built once per run and
+/// amortized over the whole budget).
 fn batched_vs_serial(
     geometry: MemGeometry,
     universe: &[FaultKind],
@@ -169,14 +172,13 @@ fn batched_vs_serial(
 ) -> HeadToHead {
     let batch = candidate_stream(candidates);
     let opts = ExpandOptions::for_geometry(&geometry);
-    let stop = Some(universe.len());
 
     let started = Instant::now();
     let mut serial_counts = Vec::with_capacity(batch.len());
     for test in &batch {
         let steps = expand_with(test, &geometry, &opts);
         let trace = CompiledTrace::from_steps(geometry, &steps);
-        let flags = trace.detect_universe(universe, stop, SimEngine::Packed);
+        let flags = trace.detect_universe(universe, Some(1), SimEngine::Packed);
         serial_counts.push(flags.iter().filter(|&&f| f).count());
     }
     let serial_ns = started.elapsed().as_nanos();
@@ -184,7 +186,7 @@ fn batched_vs_serial(
     let mut scorer =
         CandidateBatchScorer::new(geometry, opts, universe.to_vec(), SimEngine::Packed);
     let started = Instant::now();
-    let scored = scorer.score_batch(&batch, stop, None, &CancelToken::none());
+    let scored = scorer.score_batch(&batch, None, None, &CancelToken::none());
     let batched_ns = started.elapsed().as_nanos();
     let batched_counts: Vec<usize> =
         scored.into_iter().map(|s| s.expect("uncancelled slot scored")).collect();

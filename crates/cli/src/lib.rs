@@ -181,11 +181,13 @@ commands:
       [--max-reloads R]               by scan-reloading (exit 5 if recovery
       [--cycle-budget C]              fails; A: microcode|progfsm)
   coverage <algorithm> --words N      per-fault-class coverage (serial fault sim)
-      [--max-faults K] [--jobs J]     J worker threads (0 or absent = auto);
-      [--engine full|packed]          the report is identical for every J and
-                                      engine (packed = default: batches 256
-                                      faults per replay into [u64; 4] lanes;
-                                      full = one replay per fault, the oracle)
+      [--max-faults K] [--jobs J]     J worker threads for the full engine
+      [--engine full|packed]          (0 or absent = auto; packed runs on one
+                                      thread); the report is identical for
+                                      every J and engine (packed = default:
+                                      batches 256 faults per replay into
+                                      [u64; 4] lanes; full = one replay per
+                                      fault, the oracle)
   area [--table 1|2|3]                regenerate the paper's tables
   rtl <algorithm> [--capacity Z]      emit Verilog for the microcode BIST unit
       [--words N] [--width W]

@@ -54,15 +54,16 @@ pub struct CoverageOptions {
     pub max_faults_per_class: Option<usize>,
     /// Expansion options (backgrounds, ports).
     pub expand: Option<ExpandOptions>,
-    /// Worker threads for the fault fan-out: `Some(n)` forces `n` workers
-    /// (1 = serial), `None` uses the host's available parallelism. The
-    /// report is bit-for-bit identical for every setting.
+    /// Worker threads for the full engine's per-fault fan-out: `Some(n)`
+    /// forces `n` workers (1 = serial), `None` uses the host's available
+    /// parallelism. The packed engine always runs on the calling thread.
+    /// The report is bit-for-bit identical for every setting.
     pub jobs: Option<usize>,
     /// Fault-simulation engine ([`SimEngine::Packed`] by default). The
     /// report is bit-for-bit identical for every engine.
     pub engine: SimEngine,
     /// Cooperative cancellation handle, checked between classes and once
-    /// per fault chunk inside the fan-out. A tripped token makes
+    /// per fault chunk or packed batch inside a class. A tripped token makes
     /// [`evaluate_coverage`] return early with a **partial, unspecified**
     /// report — the caller must check [`CancelToken::is_cancelled`] and
     /// discard it. The default token never cancels and costs one branch
@@ -138,12 +139,11 @@ impl fmt::Display for CoverageReport {
 ///
 /// The step stream is expanded and compiled into a [`CompiledTrace`] once
 /// for all classes; faults are then simulated in 256-lane batches, one
-/// trace replay per batch ([`SimEngine::Packed`], the default), or one by
-/// one over the whole stream on a per-worker scratch array
-/// ([`SimEngine::Full`]). The per-class universes fan out across worker
-/// threads ([`CoverageOptions::jobs`]) with a deterministic in-order
-/// reduction, so the report depends on neither the worker count nor the
-/// engine.
+/// trace replay per batch on the calling thread ([`SimEngine::Packed`],
+/// the default), or one by one over the whole stream on per-worker
+/// scratch arrays fanned out across [`CoverageOptions::jobs`] threads
+/// ([`SimEngine::Full`]) with a deterministic in-order reduction, so the
+/// report depends on neither the worker count nor the engine.
 ///
 /// # Examples
 ///

@@ -54,20 +54,26 @@
 //! address-uniform, so a 1024-word SAF universe compiles to a single
 //! program).
 //!
-//! Decoder faults are not address-local and never lane-pack; they route
-//! per fault to the sliced two-word decoder replay, so reports stay
-//! bit-identical to [`SimEngine::Full`](crate::SimEngine::Full) — the
-//! equivalence the `sliced_equivalence` proptest suite and the
-//! `engine_corpus` regression corpus pin.
+//! # Scheduling
+//!
+//! [`UniversePlan`] is the one scheduler: every packed call — coverage,
+//! synthesis, the service, the search oracle — batches its universe
+//! through a plan and runs it on the calling thread. Decoder faults are
+//! not address-local and never lane-pack; they take the sliced two-word
+//! decoder replay, so reports stay bit-identical to
+//! [`SimEngine::Full`](crate::SimEngine::Full) — the equivalence the
+//! `sliced_equivalence` proptest suite and the `engine_corpus` regression
+//! corpus pin.
 
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::{BitAnd, BitOr, BitOrAssign, BitXor, Not};
+use std::sync::OnceLock;
 
 use mbist_mem::{CellId, FaultKind};
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_STRIDE};
-use crate::fanout::{detect_one, WorkerScratch};
 use crate::sliced::{detect_sliced_with, SlicedScratch};
 use crate::trace::{CompiledTrace, FnvBuild, TraceOpKind};
 
@@ -109,10 +115,6 @@ impl Lanes {
 
     fn set(&mut self, lane: usize) {
         self.0[lane / 64] |= 1u64 << (lane % 64);
-    }
-
-    fn get(self, lane: usize) -> bool {
-        self.0[lane / 64] >> (lane % 64) & 1 == 1
     }
 
     /// Population count across all blocks (detected-lane tallies).
@@ -285,11 +287,10 @@ struct LaneSpec {
 }
 
 /// Whether the packed engine simulates `fault` in a bit lane, as opposed
-/// to the per-fault sliced replay ([`detect_one`]) — the exact
-/// [`detect_chunk`] and [`UniversePlan`] eligibility rule, and the basis
-/// of the routing breakdown in [`crate::coverage`]. Either way the fault
-/// reads only its own support words or decoder word pair
-/// ([`mark_replay_words`]).
+/// to the per-fault sliced replay — the exact [`UniversePlan`]
+/// eligibility rule, and the basis of the routing breakdown in
+/// [`crate::coverage`]. Either way the fault reads only its own support
+/// words or decoder word pair ([`mark_replay_words`]).
 pub(crate) fn lane_packable(fault: FaultKind) -> bool {
     lane_spec(fault).is_some()
 }
@@ -412,9 +413,8 @@ fn mark_replay_words(fault: FaultKind, mask: &mut [bool]) {
 }
 
 /// The per-lane state of a batch — live lane count, class and constant
-/// masks (bit `i` = lane `i`'s constant) — separated from the per-fault
-/// index bookkeeping so a precomputed [`UniversePlan`] can drive
-/// [`run_batch`] without materializing index vectors per candidate.
+/// masks (bit `i` = lane `i`'s constant) — which is all [`run_batch`]
+/// reads; a [`Slot`] pairs it with the lanes' universe indices.
 #[derive(Debug, Clone, Copy)]
 struct LaneMasks {
     class: LaneClass,
@@ -488,23 +488,28 @@ impl LaneMasks {
     }
 }
 
-/// An open batch: up to [`LANES`] same-class faults sharing one canonical
-/// program.
-struct Batch {
-    program: usize,
-    /// Index into the caller's fault slice, per lane.
-    faults: Vec<usize>,
+/// The lanes of one batch: up to [`LANES`] same-class faults sharing one
+/// canonical program, as the masks [`run_batch`] reads plus each lane's
+/// universe index (where its flag lands).
+struct Slot {
     masks: LaneMasks,
+    faults: Vec<u32>,
 }
 
-impl Batch {
-    fn new(class: LaneClass, program: usize) -> Self {
-        Self { program, faults: Vec::with_capacity(LANES), masks: LaneMasks::new(class) }
+impl Slot {
+    fn new(class: LaneClass) -> Self {
+        Self { masks: LaneMasks::new(class), faults: Vec::new() }
     }
 
-    fn push(&mut self, index: usize, spec: &LaneSpec, flipped: bool, pre_detected: bool) {
-        self.faults.push(index);
+    fn push(&mut self, spec: &LaneSpec, index: u32, flipped: bool, pre_detected: bool) {
         self.masks.push(spec, flipped, pre_detected);
+        self.faults.push(index);
+    }
+
+    /// Empties the slot, keeping its index buffer.
+    fn clear(&mut self) {
+        self.masks = LaneMasks::new(self.masks.class);
+        self.faults.clear();
     }
 }
 
@@ -931,35 +936,9 @@ fn run_batch(
     detected
 }
 
-/// The memoized build shape of a program: faults with equal keys share one
-/// build (programs are polarity-independent after canonicalization, so
-/// e.g. SAF and TF at the same cell, both decay rules' polarities, or all
-/// sixteen static-NPSF patterns on one neighborhood, reuse work).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum BuildKey {
-    Plain(CellId, Option<CellId>),
-    Sof(CellId),
-    Decay(CellId, DecayRule),
-    Npsf(NpsfShape),
-}
-
-impl BuildKey {
-    fn of(spec: &LaneSpec) -> Self {
-        match spec.class {
-            LaneClass::StuckOpen => Self::Sof(spec.vic),
-            LaneClass::Decay => Self::Decay(spec.vic, spec.decay.expect("decay rule")),
-            LaneClass::NpsfStatic | LaneClass::NpsfActive => {
-                Self::Npsf(spec.npsf.expect("npsf shape"))
-            }
-            _ => Self::Plain(spec.vic, spec.agg),
-        }
-    }
-}
-
-/// Program store with two-level memoization: per build shape
-/// ([`BuildKey`]) and per canonical content (faults at different
-/// addresses — or complementary backgrounds — whose canonical programs
-/// coincide share one batch).
+/// Program store, deduplicated per canonical content: faults at different
+/// addresses — or under complementary backgrounds — whose canonical
+/// programs coincide share one batch.
 ///
 /// Every build writes into one reused buffer. The buffer is compared with
 /// the program the previous build resolved to before the content map is
@@ -968,7 +947,6 @@ impl BuildKey {
 #[derive(Default)]
 struct Programs {
     store: Vec<Vec<SigOp>>,
-    by_key: HashMap<BuildKey, (usize, bool), FnvBuild>,
     by_content: HashMap<Vec<SigOp>, usize, FnvBuild>,
     /// The build buffer.
     build: Vec<SigOp>,
@@ -982,26 +960,14 @@ impl Programs {
     /// Forgets every program, keeping the buffers (the next trace).
     fn clear(&mut self) {
         self.store.clear();
-        self.by_key.clear();
         self.by_content.clear();
         self.last = None;
     }
 
-    /// Builds `spec`'s program, memoized per build key. Returns the
-    /// canonical program id plus the flip this fault's lane must record.
+    /// Builds the canonical program of `spec` and resolves it against the
+    /// programs already stored. Returns the program id plus the flip the
+    /// fault's lane must record.
     fn id_for(&mut self, trace: &CompiledTrace, spec: &LaneSpec) -> (usize, bool) {
-        let key = BuildKey::of(spec);
-        if let Some(&hit) = self.by_key.get(&key) {
-            return hit;
-        }
-        let entry = self.id_for_content(trace, spec);
-        self.by_key.insert(key, entry);
-        entry
-    }
-
-    /// Builds (or content-dedups) the canonical program for one
-    /// representative spec — the route-key paths call this once per key.
-    fn id_for_content(&mut self, trace: &CompiledTrace, spec: &LaneSpec) -> (usize, bool) {
         let program = &mut self.build;
         program.clear();
         match spec.class {
@@ -1034,31 +1000,27 @@ impl Programs {
     }
 }
 
-/// A fault's O(1) batch route on a monoclass trace — the key both the
-/// per-trace scheduler ([`detect_chunk`]) and the precomputed
-/// [`UniversePlan`] group faults by. Every word carries the same op
-/// content, so faults with equal keys provably share an access program,
-/// and batching a fault costs one small hash lookup instead of rebuilding
-/// and hashing its whole projected program.
+/// A fault's O(1) batch route under a [`UniversePlan`]'s certificate —
+/// the key the plan groups faults by. Every word carries the same op
+/// content in address-rank order, so faults with equal keys provably
+/// share an access program, and one representative build serves them all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum RouteKey {
     Plain {
         class: LaneClass,
         /// 0 = single cell, 1 = intra-word pair, 2 = inter-word pair with
         /// victim at the lower address, 3 = with aggressor at the lower
-        /// address (2/3 only issued when the trace certifies
-        /// address-uniform interleave).
+        /// address.
         shape: u8,
         vic_bit: u8,
         agg_bit: u8,
     },
-    /// A five-cell NPSF fault under the address-uniform certificate: every
-    /// word's op list is one segment projection per march element, ordered
-    /// by address rank, so the merged projection of the five support words
-    /// — and with it the built program — depends only on their bit
-    /// positions, relative address order, and the activation parameters.
-    /// ~tens of keys cover a whole NPSF universe instead of one five-way
-    /// merge per fault.
+    /// A five-cell NPSF fault: every word's op list is one segment
+    /// projection per march element, ordered by address rank, so the
+    /// merged projection of the five support words — and with it the built
+    /// program — depends only on their bit positions, relative address
+    /// order, and the activation parameters. ~tens of keys cover a whole
+    /// NPSF universe instead of one five-way merge per fault.
     Npsf {
         class: LaneClass,
         bits: [u8; 5],
@@ -1069,20 +1031,17 @@ enum RouteKey {
         rising: bool,
     },
     /// A pull-open fault: its program reads only op kinds, write data,
-    /// expectations and golden values — the content every word of a
-    /// monoclass trace carries identically — so it depends only on the
-    /// bit position and the read budget.
+    /// expectations and golden values — the content every word carries
+    /// identically — so it depends only on the bit position and the read
+    /// budget.
     PullOpen { bit: u8, good_reads: u8 },
 }
 
-/// The route of `spec` on a monoclass trace (`uniform`: whether it also
-/// certifies address-uniform interleave), or `None` when the program must
-/// be resolved through the [`BuildKey`] memo instead: inter-word pairs
-/// and NPSF without the uniform certificate, and the stuck-open and
-/// retention families, whose programs depend on the word's place in the
-/// stream (sense history, timestamps) and fold by content, not by a
-/// trace-independent key (cheap — their builds walk one op list).
-fn route_of(spec: &LaneSpec, uniform: bool) -> Option<RouteKey> {
+/// The route of `spec` under the plan's certificate, or `None` for the
+/// stuck-open and retention families, whose programs depend on the word's
+/// place in the stream (sense history, timestamps) and fold by content,
+/// not by a trace-independent key (cheap — their builds walk one op list).
+fn route_of(spec: &LaneSpec) -> Option<RouteKey> {
     match spec.class {
         LaneClass::StuckAt
         | LaneClass::Transition
@@ -1092,8 +1051,7 @@ fn route_of(spec: &LaneSpec, uniform: bool) -> Option<RouteKey> {
             let (shape, agg_bit) = match spec.agg {
                 None => (0, 0),
                 Some(a) if a.word == spec.vic.word => (1, a.bit),
-                Some(a) if uniform => (if spec.vic.word < a.word { 2 } else { 3 }, a.bit),
-                Some(_) => return None,
+                Some(a) => (if spec.vic.word < a.word { 2 } else { 3 }, a.bit),
             };
             Some(RouteKey::Plain {
                 class: spec.class,
@@ -1102,7 +1060,7 @@ fn route_of(spec: &LaneSpec, uniform: bool) -> Option<RouteKey> {
                 agg_bit,
             })
         }
-        LaneClass::NpsfStatic | LaneClass::NpsfActive if uniform => {
+        LaneClass::NpsfStatic | LaneClass::NpsfActive => {
             let shape = spec.npsf.as_ref().expect("npsf shape");
             let mut bits = [0u8; 5];
             let mut rank = [0u8; 5];
@@ -1124,100 +1082,19 @@ fn route_of(spec: &LaneSpec, uniform: bool) -> Option<RouteKey> {
             }
             _ => None,
         },
-        _ => None,
+        LaneClass::StuckOpen => None,
     }
-}
-
-/// Simulates a chunk of faults: every address-local fault is grouped into
-/// lanes and replayed once per batch; decoder faults route through the
-/// per-fault path ([`detect_one`]). Returns one flag per fault, in chunk
-/// order — batching never reorders or changes a verdict, only the
-/// wall-clock cost.
-pub(crate) fn detect_chunk(
-    trace: &CompiledTrace,
-    faults: &[FaultKind],
-    scratch: &mut WorkerScratch,
-    cancel: &CancelToken,
-) -> Vec<bool> {
-    let mut flags = vec![false; faults.len()];
-    let mut programs = Programs::default();
-    let mut batches: Vec<Batch> = Vec::new();
-    // Program resolution is memoized per route key; the open (possibly
-    // full) batch lives per (class, canonical program), so route keys that
-    // canonicalize onto one program — complementary backgrounds — share
-    // batches. A full batch is replaced by a fresh one on the next hit.
-    let mut routed: HashMap<RouteKey, (usize, bool), FnvBuild> =
-        HashMap::with_hasher(FnvBuild);
-    let mut open: HashMap<(LaneClass, usize), usize, FnvBuild> =
-        HashMap::with_hasher(FnvBuild);
-    let monoclass = trace.monoclass();
-    let uniform = trace.uniform_interleave();
-    let miscompares = trace.golden_miscompares();
-    let ports = trace.geometry().ports();
-    let mut latch = Vec::new();
-    for (index, &fault) in faults.iter().enumerate() {
-        // Batch flags land out of chunk order, so a cancelled chunk cannot
-        // return a meaningful prefix: hand back an empty (clearly partial)
-        // vector and let the caller discard it after checking the token.
-        if index % CANCEL_CHECK_STRIDE == 0 && cancel.is_cancelled() {
-            return Vec::new();
-        }
-        let Some(spec) = lane_spec(fault) else {
-            flags[index] = detect_one(trace, fault, scratch);
-            continue;
-        };
-        let route = if monoclass { route_of(&spec, uniform) } else { None };
-        let (program, flipped) = match route {
-            Some(key) => match routed.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => *e.insert(programs.id_for_content(trace, &spec)),
-            },
-            None => programs.id_for(trace, &spec),
-        };
-        let slot = match open.entry((spec.class, program)) {
-            Entry::Occupied(mut e) => refill(&mut batches, e.get_mut(), spec.class),
-            Entry::Vacant(e) => {
-                batches.push(Batch::new(spec.class, program));
-                *e.insert(batches.len() - 1)
-            }
-        };
-        let pre_detected = !miscompares.is_empty()
-            && miscompares.iter().any(|&(_, addr)| addr != spec.vic.word);
-        batches[slot].push(index, &spec, flipped, pre_detected);
-    }
-    for batch in &batches {
-        if cancel.is_cancelled() {
-            return Vec::new();
-        }
-        let detected =
-            run_batch(&programs.store[batch.program], &batch.masks, ports, &mut latch);
-        for (lane, &index) in batch.faults.iter().enumerate() {
-            flags[index] = detected.get(lane);
-        }
-    }
-    flags
-}
-
-/// Returns the slot an open batch lives in, replacing a full batch with a
-/// fresh one for the same program (updating the open slot in place).
-fn refill(batches: &mut Vec<Batch>, slot: &mut usize, class: LaneClass) -> usize {
-    if batches[*slot].faults.len() == LANES {
-        let program = batches[*slot].program;
-        batches.push(Batch::new(class, program));
-        *slot = batches.len() - 1;
-    }
-    *slot
 }
 
 /// A route-key group of a [`UniversePlan`]: every member provably shares
-/// one canonical program on any trace satisfying the planned signature, so
-/// one representative build serves every slot.
+/// one canonical program on any trace under the plan's certificate, so one
+/// representative build serves every slot.
 struct PlanGroup {
     /// First member in universe order — the build representative.
     rep: LaneSpec,
-    /// The group's batches as raw (never-flipped) lane masks, re-based by
-    /// the group's canonicalization flip at scoring time.
-    slots: Vec<LaneMasks>,
+    /// The group's batches, with raw (never-flipped) lane masks, re-based
+    /// by the group's canonicalization flip at run time.
+    slots: Vec<Slot>,
 }
 
 /// A trace as a [`UniversePlan`] reads it: either a complete
@@ -1228,203 +1105,396 @@ struct PlanGroup {
 /// carries no step stream. Only [`UniversePlan::count_detected`] accepts
 /// it, and the wrapped trace is private to this module, so no other
 /// engine can read a partial trace.
-pub(crate) struct SupportTrace<'a>(&'a CompiledTrace);
+pub(crate) struct SupportTrace<'a> {
+    trace: &'a CompiledTrace,
+    /// Whether every word's op list is present — the general path may read
+    /// any word, so only a complete trace can take it.
+    complete: bool,
+}
 
-impl<'a> From<&'a CompiledTrace> for SupportTrace<'a> {
-    fn from(trace: &'a CompiledTrace) -> Self {
-        Self(trace)
+impl<'a> SupportTrace<'a> {
+    /// Wraps a compile that recorded only the plan's support words.
+    pub(crate) fn restricted(trace: &'a CompiledTrace) -> Self {
+        Self { trace, complete: false }
     }
 }
 
-/// The buffers a [`UniversePlan`] reuses from one candidate to the next:
-/// the program store with its build buffer, the open batches of the
-/// per-fault builds, and the sense-latch scratch of the lane and sliced
-/// replays.
+impl<'a> From<&'a CompiledTrace> for SupportTrace<'a> {
+    fn from(trace: &'a CompiledTrace) -> Self {
+        Self { trace, complete: true }
+    }
+}
+
+/// The buffers a [`UniversePlan`] reuses from one run to the next: the
+/// program store with its build buffer, the open batches, and the
+/// sense-latch scratch of the lane and sliced replays.
 #[derive(Default)]
 pub(crate) struct PlanScratch {
     programs: Programs,
-    /// The open batch of each `(class, program)` of the per-fault builds.
-    open: HashMap<(LaneClass, usize), LaneMasks, FnvBuild>,
+    /// The program each build key resolved to in this run.
+    built: Vec<Option<(usize, bool)>>,
+    /// The open batch of each `(class, program)`; emptied, not dropped,
+    /// between runs, so their index buffers stay allocated.
+    open: HashMap<(LaneClass, usize), Slot, FnvBuild>,
     latch: Vec<Lanes>,
     sliced: SlicedScratch,
 }
 
-/// A fault universe pre-batched for repeated scoring against many traces
-/// of one shape — the synthesis hot path, where thousands of candidate
-/// traces are scored against one fixed universe.
-///
-/// [`detect_chunk`] spends much of a scoring call on per-fault routing
-/// (a `lane_spec` lowering plus a hash lookup per fault) and per-call map
-/// allocation, all of which produce the *same* grouping for every
-/// candidate: every expanded march is monoclass, address-uniform on three
-/// or more words, and — for canonical candidates — clean. Under that
-/// signature (checked by [`Self::applies`]) the plan scores every fault
-/// itself, on one of three paths fixed at plan time:
-///
-/// - **Route groups.** The batch route of every plain, NPSF and pull-open
-///   fault is a function of the fault alone ([`route_of`] with
-///   `uniform = true`), so the grouping — lane order, per-lane constant
-///   masks, batch membership — is computed once here, and a candidate
-///   costs one program build per group and one [`run_batch`] per slot.
-/// - **Per-fault builds.** Stuck-open and retention programs depend on
-///   the word's place in the stream, so those faults are lowered to
-///   [`LaneSpec`]s once, one list per [`BuildKey`]. Per candidate, each
-///   list's program is built, resolved against the programs the candidate
-///   already built, and its lanes are appended to that program's open
-///   batch.
-/// - **Sliced replay.** Faults with no lane form (decoder faults, NPSF
-///   neighborhoods that reuse a word) take the per-fault sliced replay.
-///
-/// Every path reads only the support words or decoder words of the
-/// faults it replays (a group: of its representative), never the step
-/// stream, so the plan always declares its support set and candidates
-/// compile support-restricted whatever the universe. Verdicts are
-/// identical to the engine's — per-lane updates never depend on batch
-/// composition — so a planned count always equals the engine count.
-pub(crate) struct UniversePlan {
-    geometry: mbist_mem::MemGeometry,
-    groups: Vec<PlanGroup>,
-    /// Stuck-open and retention faults in lane form, one list per build
-    /// key (in universe order).
-    builds: Vec<Vec<LaneSpec>>,
-    /// Faults with no lane form, for the sliced replay (in universe
-    /// order).
-    sliced: Vec<FaultKind>,
-    /// The words whose op lists [`Self::count_detected`] reads: the
-    /// support words of each group's representative (the group's program
-    /// is built from it alone) and of every other lane fault, and the
-    /// support words or decoder word pair of each sliced fault.
-    support: Vec<bool>,
+/// Where a plan run delivers its verdicts: a count, plus one flag per
+/// universe fault when the caller asked for flags. The run ends once the
+/// count reaches `stop` or `cancel` trips.
+struct Verdicts<'c> {
+    count: usize,
+    stop: usize,
+    flags: Option<Vec<bool>>,
+    cancel: &'c CancelToken,
 }
 
-impl UniversePlan {
-    /// Pre-batches `universe` for traces on `geometry` satisfying the
-    /// planned signature.
-    pub(crate) fn new(geometry: mbist_mem::MemGeometry, universe: &[FaultKind]) -> Self {
+impl Verdicts<'_> {
+    /// Records a batch whose lane `i` holds universe fault `faults[i]`;
+    /// returns whether the run is over.
+    fn record(&mut self, detected: Lanes, faults: &[u32]) -> bool {
+        self.count += detected.count();
+        if let Some(flags) = &mut self.flags {
+            for (block, mut bits) in detected.0.into_iter().enumerate() {
+                while bits != 0 {
+                    flags[faults[block * 64 + bits.trailing_zeros() as usize] as usize] =
+                        true;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        self.done()
+    }
+
+    fn done(&self) -> bool {
+        self.count >= self.stop || self.cancel.is_cancelled()
+    }
+}
+
+/// One run of a plan: the trace, the caller's scratch, and where the
+/// verdicts go.
+struct Run<'r, 'c> {
+    trace: &'r CompiledTrace,
+    scratch: &'r mut PlanScratch,
+    verdicts: &'r mut Verdicts<'c>,
+}
+
+impl Run<'_, '_> {
+    /// Replays program `pid` over one batch; returns whether the run is
+    /// over.
+    fn batch(&mut self, pid: usize, masks: &LaneMasks, faults: &[u32]) -> bool {
+        let PlanScratch { programs, latch, .. } = &mut *self.scratch;
+        let ports = self.trace.geometry().ports();
+        let detected = run_batch(&programs.store[pid], masks, ports, latch);
+        self.verdicts.record(detected, faults)
+    }
+
+    /// Adds a lane to the open batch of its program, replaying the batch
+    /// once its lanes are full; returns whether the run is over.
+    fn lane(
+        &mut self,
+        spec: &LaneSpec,
+        index: u32,
+        (pid, flipped): (usize, bool),
+        pre_detected: bool,
+    ) -> bool {
+        let PlanScratch { programs, open, latch, .. } = &mut *self.scratch;
+        let slot = open.entry((spec.class, pid)).or_insert_with(|| Slot::new(spec.class));
+        slot.push(spec, index, flipped, pre_detected);
+        if slot.masks.lanes < LANES {
+            return false;
+        }
+        let ports = self.trace.geometry().ports();
+        let detected = run_batch(&programs.store[pid], &slot.masks, ports, latch);
+        let over = self.verdicts.record(detected, &slot.faults);
+        slot.clear();
+        over
+    }
+
+    /// Replays the partially filled open batches; returns whether the run
+    /// is over.
+    fn flush(&mut self) -> bool {
+        let PlanScratch { programs, open, latch, .. } = &mut *self.scratch;
+        let ports = self.trace.geometry().ports();
+        for (&(_, pid), slot) in open.iter().filter(|(_, slot)| slot.masks.lanes > 0) {
+            let detected = run_batch(&programs.store[pid], &slot.masks, ports, latch);
+            if self.verdicts.record(detected, &slot.faults) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// The sliced replay of a fault with no lane form; returns whether the
+    /// cap is reached (the caller polls the token).
+    fn sliced(&mut self, fault: FaultKind, index: u32) -> bool {
+        let detected = detect_sliced_with(self.trace, fault, &mut self.scratch.sliced)
+            .expect("every fault has support cells or decoder words");
+        let verdicts = &mut *self.verdicts;
+        verdicts.count += usize::from(detected);
+        if let Some(flags) = &mut verdicts.flags {
+            flags[index as usize] = detected;
+        }
+        verdicts.count >= verdicts.stop
+    }
+}
+
+/// Which path a [`UniversePlan`] run takes (see the type doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    Uniform,
+    General,
+}
+
+/// The packed engine's one scheduler: a fault universe batched once and
+/// run, on the calling thread, against any number of traces of its
+/// geometry — one coverage call, or the thousands of candidates a search
+/// scores.
+///
+/// A run takes one of two paths, chosen per trace:
+///
+/// - **Uniform path**, when the plan's certificate holds: same geometry,
+///   one content class across words, address-uniform order, and no
+///   fault-free miscompares — every expanded march on three or more words
+///   that replays clean. Each fault sits on one of three routes fixed at
+///   plan time:
+///   - *Route groups.* The batch route of every plain, NPSF and pull-open
+///     fault is a function of the fault alone ([`route_of`]), so lane
+///     order, per-lane constant masks and batch membership are computed
+///     once here, and a run costs one program build per group and one
+///     [`run_batch`] per slot.
+///   - *Per-fault builds.* Stuck-open and retention programs depend on
+///     the word's place in the stream, so those faults are lowered to
+///     [`LaneSpec`]s once, tagged with their build key. Per run, each
+///     key's program is built once and resolved against the programs the
+///     run already built, and each lane joins that program's open batch.
+///   - *Sliced replay.* Faults with no lane form (decoder faults, NPSF
+///     neighborhoods that reuse a word) take the per-fault sliced replay.
+/// - **General path**, for any other complete trace of the geometry
+///   (hand-made streams, dirty marches, one- and two-word memories): each
+///   lane fault's program is built and resolved in universe order, its
+///   lane is pre-detected when a golden miscompare lands outside its
+///   victim word, and faults with no lane form take the sliced replay.
+///
+/// The uniform path reads only the support words or decoder words of the
+/// faults it replays (a group: of its representative), never the step
+/// stream, so search candidates compile only the plan's support set.
+/// Per-lane updates never depend on batch composition, so both paths
+/// return the full replay's verdicts.
+pub(crate) struct UniversePlan<'u> {
+    geometry: mbist_mem::MemGeometry,
+    /// The planned faults — borrowed by a one-shot run, owned by a search
+    /// oracle: the general path lowers them one by one, and the sliced
+    /// replays read them by index.
+    universe: Cow<'u, [FaultKind]>,
+    groups: Vec<PlanGroup>,
+    /// Stuck-open and retention faults in lane form, in universe order,
+    /// with their universe indices and dense build-key ids.
+    builds: Vec<(LaneSpec, u32, u32)>,
+    /// Distinct build keys among `builds`.
+    build_keys: usize,
+    /// Universe indices of the faults with no lane form.
+    sliced: Vec<u32>,
+    /// The words the uniform path reads, computed on first use
+    /// ([`Self::support`]).
+    support: OnceLock<Vec<bool>>,
+}
+
+impl<'u> UniversePlan<'u> {
+    /// Batches `universe` for traces on `geometry`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault does not fit `geometry`.
+    pub(crate) fn new(
+        geometry: mbist_mem::MemGeometry,
+        universe: impl Into<Cow<'u, [FaultKind]>>,
+    ) -> Self {
+        let universe = universe.into();
         let mut groups: Vec<PlanGroup> = Vec::new();
         let mut by_route: HashMap<RouteKey, usize, FnvBuild> =
             HashMap::with_hasher(FnvBuild);
-        let mut builds: Vec<Vec<LaneSpec>> = Vec::new();
-        let mut by_build: HashMap<BuildKey, usize, FnvBuild> =
+        let mut builds = Vec::new();
+        // A per-fault build's key: a stuck-open program depends on its cell,
+        // a retention program on its cell and decay rule (both polarities
+        // share it after canonicalization).
+        let mut by_build: HashMap<(CellId, Option<DecayRule>), u32, FnvBuild> =
             HashMap::with_hasher(FnvBuild);
         let mut sliced = Vec::new();
-        let mut support =
-            vec![false; usize::try_from(geometry.words()).expect("words fit")];
-        for &fault in universe {
+        for (index, &fault) in universe.iter().enumerate() {
+            let index = u32::try_from(index).expect("universe index fits u32");
             let Some(spec) = lane_spec(fault) else {
-                mark_replay_words(fault, &mut support);
-                sliced.push(fault);
+                sliced.push(index);
                 continue;
             };
-            let Some(key) = route_of(&spec, true) else {
-                mark_replay_words(fault, &mut support);
-                let bi = *by_build.entry(BuildKey::of(&spec)).or_insert_with(|| {
-                    builds.push(Vec::new());
-                    builds.len() - 1
-                });
-                builds[bi].push(spec);
+            let Some(key) = route_of(&spec) else {
+                let keys = u32::try_from(by_build.len()).expect("key count fits u32");
+                builds.push((
+                    spec,
+                    index,
+                    *by_build.entry((spec.vic, spec.decay)).or_insert(keys),
+                ));
                 continue;
             };
             let gi = match by_route.entry(key) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
-                    mark_replay_words(fault, &mut support);
                     groups.push(PlanGroup { rep: spec, slots: Vec::new() });
                     *e.insert(groups.len() - 1)
                 }
             };
             let slots = &mut groups[gi].slots;
-            if slots.last().is_none_or(|s| s.lanes == LANES) {
-                slots.push(LaneMasks::new(spec.class));
+            if slots.last().is_none_or(|s| s.masks.lanes == LANES) {
+                slots.push(Slot::new(spec.class));
             }
-            // Raw space: flip correction is applied per trace at scoring
-            // time, pre-detection is impossible under a clean golden replay.
-            slots.last_mut().expect("slot just ensured").push(&spec, false, false);
+            // Raw space: flip correction is applied per trace at run time,
+            // and pre-detection is impossible under a clean golden replay.
+            slots.last_mut().expect("slot just ensured").push(&spec, index, false, false);
         }
-        Self { geometry, groups, builds, sliced, support }
+        let build_keys = by_build.len();
+        let support = OnceLock::new();
+        Self { geometry, universe, groups, builds, build_keys, sliced, support }
     }
 
-    /// The support set a [`SupportTrace`] for this plan must cover (see
-    /// the field doc).
+    /// The planned faults, in universe order.
+    pub(crate) fn universe(&self) -> &[FaultKind] {
+        &self.universe
+    }
+
+    /// The support set a restricted [`SupportTrace`] for this plan must
+    /// cover: the support words of each group's representative (the
+    /// group's program is built from it alone) and of every other lane
+    /// fault, and the support words or decoder word pair of each sliced
+    /// fault. Computed once, on first use — one-shot runs never need it.
     pub(crate) fn support(&self) -> &[bool] {
-        &self.support
+        self.support.get_or_init(|| {
+            let words = usize::try_from(self.geometry.words()).expect("words fit");
+            let mut support = vec![false; words];
+            let reps = self.groups.iter().map(|group| group.slots[0].faults[0]);
+            let builds = self.builds.iter().map(|&(_, index, _)| index);
+            for index in reps.chain(builds).chain(self.sliced.iter().copied()) {
+                mark_replay_words(self.universe[index as usize], &mut support);
+            }
+            support
+        })
     }
 
-    /// Whether the plan's soundness preconditions hold for `trace` (same
-    /// geometry, address-uniform, one content class, clean golden replay).
-    fn applies(&self, trace: &CompiledTrace) -> bool {
-        trace.geometry() == self.geometry
-            && trace.uniform_interleave()
-            && trace.monoclass()
-            && trace.golden_miscompares().is_empty()
+    /// The path a run on `trace` takes, or `None` when the plan declines
+    /// it: a trace of another geometry, or a support-restricted trace the
+    /// certificate does not hold for.
+    fn path(&self, trace: &SupportTrace<'_>) -> Option<Path> {
+        let t = trace.trace;
+        if t.geometry() != self.geometry {
+            return None;
+        }
+        if t.uniform_interleave() && t.monoclass() && t.golden_miscompares().is_empty() {
+            Some(Path::Uniform)
+        } else {
+            trace.complete.then_some(Path::General)
+        }
     }
 
-    /// Counts the universe's detected faults against `trace` using the
-    /// precomputed batching, with the same early-exit cap semantics as
-    /// [`CompiledTrace::count_detected`]: a reached cap returns exactly
-    /// `stop_after`, otherwise the exact total. `None` when the plan's
-    /// signature does not hold for the trace — the caller then scores a
-    /// complete trace through the general engine.
+    /// Counts the universe's detected faults against `trace`, with the cap
+    /// rule of [`CompiledTrace::count_detected`]: a reached cap returns
+    /// exactly `stop_after`, otherwise the exact total. `None` when the
+    /// plan declines the trace ([`Self::path`]); a complete trace of the
+    /// plan's geometry is always counted.
     pub(crate) fn count_detected(
         &self,
         trace: SupportTrace<'_>,
         stop_after: Option<usize>,
         scratch: &mut PlanScratch,
     ) -> Option<usize> {
-        let trace = trace.0;
-        if !self.applies(trace) {
-            return None;
-        }
+        let path = self.path(&trace)?;
         let stop = stop_after.unwrap_or(usize::MAX);
         if stop == 0 {
             return Some(0);
         }
-        let ports = trace.geometry().ports();
-        let PlanScratch { programs, open, latch, sliced } = scratch;
-        programs.clear();
-        open.clear();
-        let mut count = 0usize;
+        let never = CancelToken::none();
+        let mut verdicts = Verdicts { count: 0, stop, flags: None, cancel: &never };
+        self.run(trace.trace, path, scratch, &mut verdicts);
+        Some(verdicts.count.min(stop))
+    }
+
+    /// One detection flag per universe fault, in universe order. A tripped
+    /// `cancel` ends the run early with an empty (clearly partial) vector,
+    /// which the caller discards after checking the token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` is of another geometry.
+    pub(crate) fn detect(
+        &self,
+        trace: &CompiledTrace,
+        scratch: &mut PlanScratch,
+        cancel: &CancelToken,
+    ) -> Vec<bool> {
+        let path = self.path(&trace.into()).expect("trace of the plan's geometry");
+        let flags = Some(vec![false; self.universe.len()]);
+        let mut verdicts = Verdicts { count: 0, stop: usize::MAX, flags, cancel };
+        let ended_early = self.run(trace, path, scratch, &mut verdicts);
+        verdicts.flags.filter(|_| !ended_early).unwrap_or_default()
+    }
+
+    /// Runs every fault on `path`, feeding `verdicts`; returns whether the
+    /// run ended early (cap reached or token tripped). The token is polled
+    /// per batch and once per stride of per-fault work.
+    fn run(
+        &self,
+        trace: &CompiledTrace,
+        path: Path,
+        scratch: &mut PlanScratch,
+        verdicts: &mut Verdicts<'_>,
+    ) -> bool {
+        scratch.programs.clear();
+        scratch.built.clear();
+        scratch.built.resize(self.build_keys, None);
+        scratch.open.values_mut().for_each(Slot::clear);
+        let mut run = Run { trace, scratch, verdicts };
+        let poll = |nth: usize, run: &Run| {
+            nth.is_multiple_of(CANCEL_CHECK_STRIDE) && run.verdicts.done()
+        };
+        if path == Path::General {
+            let miscompares = trace.golden_miscompares();
+            for (nth, &fault) in self.universe.iter().enumerate() {
+                let index = nth as u32; // fits: checked at plan time
+                let over = poll(nth, &run)
+                    || match lane_spec(fault) {
+                        None => run.sliced(fault, index),
+                        Some(spec) => {
+                            let program = run.scratch.programs.id_for(trace, &spec);
+                            let pre_detected =
+                                miscompares.iter().any(|&(_, addr)| addr != spec.vic.word);
+                            run.lane(&spec, index, program, pre_detected)
+                        }
+                    };
+                if over {
+                    return true;
+                }
+            }
+            return run.flush();
+        }
         for group in &self.groups {
-            let (pid, flipped) = programs.id_for_content(trace, &group.rep);
-            for masks in &group.slots {
-                let masks = masks.flip_corrected(flipped);
-                count += run_batch(&programs.store[pid], &masks, ports, latch).count();
-                if count >= stop {
-                    return Some(stop);
+            let (pid, flipped) = run.scratch.programs.id_for(trace, &group.rep);
+            for slot in &group.slots {
+                if run.batch(pid, &slot.masks.flip_corrected(flipped), &slot.faults) {
+                    return true;
                 }
             }
         }
-        for build in &self.builds {
-            let (pid, flipped) = programs.id_for_content(trace, &build[0]);
-            for spec in build {
-                let masks = open
-                    .entry((spec.class, pid))
-                    .or_insert_with(|| LaneMasks::new(spec.class));
-                masks.push(spec, flipped, false);
-                if masks.lanes == LANES {
-                    count += run_batch(&programs.store[pid], masks, ports, latch).count();
-                    *masks = LaneMasks::new(spec.class);
-                    if count >= stop {
-                        return Some(stop);
-                    }
-                }
+        for (spec, index, key) in &self.builds {
+            let PlanScratch { programs, built, .. } = &mut *run.scratch;
+            let program =
+                *built[*key as usize].get_or_insert_with(|| programs.id_for(trace, spec));
+            if run.lane(spec, *index, program, false) {
+                return true;
             }
         }
-        for (&(_, pid), masks) in open.iter().filter(|(_, masks)| masks.lanes > 0) {
-            count += run_batch(&programs.store[pid], masks, ports, latch).count();
-            if count >= stop {
-                return Some(stop);
-            }
-        }
-        for &fault in &self.sliced {
-            let detected = detect_sliced_with(trace, fault, sliced)
-                .expect("every fault has support cells or decoder words");
-            count += usize::from(detected);
-            if count >= stop {
-                return Some(stop);
-            }
-        }
-        Some(count)
+        run.flush()
+            || self.sliced.iter().enumerate().any(|(nth, &index)| {
+                poll(nth, &run) || run.sliced(self.universe[index as usize], index)
+            })
     }
 }
 
@@ -1438,19 +1508,33 @@ mod tests {
     };
     use mbist_rtl::Bits;
 
-    fn assert_packed_equivalence(g: MemGeometry, test: &crate::MarchTest) {
+    /// One flag per fault of `universe` against `trace` through a fresh
+    /// plan, the path the run took, and the run's scratch (which holds the
+    /// programs it built).
+    fn plan_run(
+        trace: &CompiledTrace,
+        universe: &[FaultKind],
+    ) -> (Vec<bool>, Path, PlanScratch) {
+        let plan = UniversePlan::new(trace.geometry(), universe);
+        let path = plan.path(&trace.into()).expect("a complete trace of the geometry");
+        let mut scratch = PlanScratch::default();
+        let flags = plan.detect(trace, &mut scratch, &CancelToken::none());
+        assert_eq!(flags.len(), universe.len(), "an uncancelled run flags every fault");
+        (flags, path, scratch)
+    }
+
+    /// Checks the plan's flags against full replay for every class
+    /// universe of `test` on `g`; returns the path the runs took.
+    fn assert_packed_equivalence(g: MemGeometry, test: &crate::MarchTest) -> Path {
         let steps = expand_with(test, &g, &ExpandOptions::for_geometry(&g));
         let trace = CompiledTrace::from_steps(g, &steps);
         let spec = UniverseSpec::default();
         let mut scratch = MemoryArray::new(g);
+        let mut path = None;
         for class in FaultClass::ALL {
             let universe = class_universe(&g, class, &spec);
-            let packed = detect_chunk(
-                &trace,
-                &universe,
-                &mut WorkerScratch::default(),
-                &CancelToken::none(),
-            );
+            let (packed, taken, _) = plan_run(&trace, &universe);
+            path = Some(taken);
             for (fault, packed_flag) in universe.iter().zip(packed) {
                 assert_eq!(
                     packed_flag,
@@ -1460,18 +1544,32 @@ mod tests {
                 );
             }
         }
+        path.expect("at least one class")
     }
 
     #[test]
     fn packed_matches_full_replay_across_library_and_geometries() {
+        let tests = [library::mats(), library::march_c(), library::march_b()];
         for g in [
             MemGeometry::bit_oriented(16),
             MemGeometry::bit_oriented(24),
             MemGeometry::word_oriented(8, 4),
             MemGeometry::new(12, 1, 2),
         ] {
-            for test in [library::mats(), library::march_c(), library::march_b()] {
-                assert_packed_equivalence(g, &test);
+            for test in &tests {
+                assert_eq!(assert_packed_equivalence(g, test), Path::Uniform, "{g}");
+            }
+        }
+        // One and two words never certify address-uniform order, so real
+        // marches take the general path there.
+        for g in [
+            MemGeometry::bit_oriented(1),
+            MemGeometry::bit_oriented(2),
+            MemGeometry::word_oriented(1, 4),
+            MemGeometry::word_oriented(2, 4),
+        ] {
+            for test in &tests {
+                assert_eq!(assert_packed_equivalence(g, test), Path::General, "{g}");
             }
         }
     }
@@ -1495,14 +1593,13 @@ mod tests {
         let g = MemGeometry::bit_oriented(64);
         let steps = expand_with(&library::march_c(), &g, &ExpandOptions::for_geometry(&g));
         let trace = CompiledTrace::from_steps(g, &steps);
-        let mut programs = Programs::default();
         let universe = class_universe(&g, FaultClass::StuckAt, &UniverseSpec::default());
-        for fault in &universe {
-            let spec = lane_spec(*fault).unwrap();
-            programs.id_for(&trace, &spec);
-        }
-        assert_eq!(programs.store.len(), 1, "uniform stream must share one program");
-        assert_eq!(programs.by_key.len(), 64, "one memo entry per cell");
+        let (_, _, scratch) = plan_run(&trace, &universe);
+        assert_eq!(
+            scratch.programs.store.len(),
+            1,
+            "uniform stream must share one program"
+        );
     }
 
     #[test]
@@ -1518,17 +1615,12 @@ mod tests {
         );
         let trace = CompiledTrace::from_steps(g, &steps);
         for class in [FaultClass::StuckOpen, FaultClass::Retention, FaultClass::PullOpen] {
-            let mut programs = Programs::default();
             let universe = class_universe(&g, class, &UniverseSpec::default());
             assert!(!universe.is_empty());
-            for fault in &universe {
-                let spec = lane_spec(*fault).unwrap();
-                programs.id_for(&trace, &spec);
-            }
+            let programs = plan_run(&trace, &universe).2.programs.store.len();
             assert!(
-                programs.store.len() <= 4,
-                "{class:?}: {} programs for {} faults",
-                programs.store.len(),
+                programs <= 4,
+                "{class:?}: {programs} programs for {} faults",
                 universe.len()
             );
         }
@@ -1541,21 +1633,13 @@ mod tests {
         // 130 words = 2 (a full one plus a 4-lane remainder).
         for (words, expect_batches) in [(128u64, 1usize), (130, 2)] {
             let g = MemGeometry::bit_oriented(words);
-            let steps = expand_with(&library::mats(), &g, &ExpandOptions::for_geometry(&g));
-            let trace = CompiledTrace::from_steps(g, &steps);
             let universe =
                 class_universe(&g, FaultClass::StuckAt, &UniverseSpec::default());
             assert_eq!(universe.len() as u64, words * 2);
-            // Count batches by replicating the scheduler's grouping.
-            let mut programs = Programs::default();
-            let mut lanes_per_key: HashMap<(LaneClass, usize), usize> = HashMap::new();
-            for fault in &universe {
-                let spec = lane_spec(*fault).unwrap();
-                let (id, _) = programs.id_for(&trace, &spec);
-                *lanes_per_key.entry((spec.class, id)).or_default() += 1;
-            }
+            let plan = UniversePlan::new(g, universe);
+            assert!(plan.builds.is_empty() && plan.sliced.is_empty());
             let batch_count: usize =
-                lanes_per_key.values().map(|n| n.div_ceil(LANES)).sum();
+                plan.groups.iter().map(|group| group.slots.len()).sum();
             assert_eq!(batch_count, expect_batches, "{words} words");
         }
     }
@@ -1573,12 +1657,7 @@ mod tests {
         let oracle: Vec<bool> =
             universe[..257].iter().map(|f| trace.detect_full(*f, &mut scratch)).collect();
         for n in [1usize, 63, 64, 65, 255, 256, 257] {
-            let flags = detect_chunk(
-                &trace,
-                &universe[..n],
-                &mut WorkerScratch::default(),
-                &CancelToken::none(),
-            );
+            let (flags, _, _) = plan_run(&trace, &universe[..n]);
             assert_eq!(flags[..], oracle[..n], "lane count {n}");
         }
     }
@@ -1596,24 +1675,27 @@ mod tests {
         let trace = CompiledTrace::from_steps(g, &steps);
         let universe = class_universe(&g, FaultClass::StuckAt, &UniverseSpec::default());
         assert_eq!(universe.len(), 256);
-        let mut programs = Programs::default();
-        let mut flips = 0usize;
-        for fault in &universe {
-            let spec = lane_spec(*fault).unwrap();
-            let (_, flipped) = programs.id_for(&trace, &spec);
-            flips += usize::from(flipped);
-        }
-        assert_eq!(programs.store.len(), 1, "complements must fold onto one program");
-        assert_eq!(flips, 128, "half the lanes ride the complemented projection");
-        let packed = detect_chunk(
-            &trace,
-            &universe,
-            &mut WorkerScratch::default(),
-            &CancelToken::none(),
+        let plan = UniversePlan::new(g, &universe);
+        assert_eq!(plan.path(&(&trace).into()), Some(Path::Uniform));
+        let mut scratch = PlanScratch::default();
+        let packed = plan.detect(&trace, &mut scratch, &CancelToken::none());
+        assert_eq!(
+            scratch.programs.store.len(),
+            1,
+            "complements must fold onto one program"
         );
-        let mut scratch = MemoryArray::new(g);
+        // Each group records its representative's flip for all its lanes.
+        let flips: usize = plan
+            .groups
+            .iter()
+            .filter(|group| scratch.programs.id_for(&trace, &group.rep).1)
+            .flat_map(|group| &group.slots)
+            .map(|slot| slot.masks.lanes)
+            .sum();
+        assert_eq!(flips, 128, "half the lanes ride the complemented projection");
+        let mut mem = MemoryArray::new(g);
         for (fault, flag) in universe.iter().zip(packed) {
-            assert_eq!(flag, trace.detect_full(*fault, &mut scratch), "{fault}");
+            assert_eq!(flag, trace.detect_full(*fault, &mut mem), "{fault}");
         }
     }
 
@@ -1634,12 +1716,8 @@ mod tests {
         let mut scratch = MemoryArray::new(g);
         for class in FaultClass::ALL {
             let universe = class_universe(&g, class, &spec);
-            let packed = detect_chunk(
-                &trace,
-                &universe,
-                &mut WorkerScratch::default(),
-                &CancelToken::none(),
-            );
+            let (packed, path, _) = plan_run(&trace, &universe);
+            assert_eq!(path, Path::General);
             for (fault, flag) in universe.iter().zip(packed) {
                 assert_eq!(flag, trace.detect_full(*fault, &mut scratch), "{fault}");
             }
@@ -1696,39 +1774,59 @@ mod tests {
         assert_bounded_support(overlapping);
     }
 
-    /// The planned count of `universe` against `test` must equal the
-    /// full-replay oracle's (and the packed engine's), capped and uncapped,
-    /// on a complete trace and on the arena's support-restricted compile.
-    fn assert_plan_matches(
-        g: MemGeometry,
-        universe: &[FaultKind],
-        test: &crate::MarchTest,
-        what: &str,
-    ) {
-        use crate::trace::{SimEngine, TraceArena};
-        let opts = ExpandOptions::for_geometry(&g);
-        let plan = UniversePlan::new(g, universe);
-        let trace = CompiledTrace::compile(test, &g, &opts);
-        assert!(plan.applies(&trace), "{what}: signature must hold");
-        let total = trace.count_detected(universe, SimEngine::Full, None);
-        assert_eq!(
-            trace.count_detected(universe, SimEngine::Packed, None),
-            total,
-            "{what}: packed engine diverges from full replay"
-        );
-        let mut arena = TraceArena::new();
-        let mut scratch = PlanScratch::default();
-        for cap in [
+    /// The caps every planned count is checked at, for `total` detections.
+    fn caps(total: usize) -> [Option<usize>; 6] {
+        [
             None,
             Some(0),
             Some(1),
             Some(total.saturating_sub(1)),
             Some(total),
             Some(total + 10),
-        ] {
+        ]
+    }
+
+    /// The plan's flags and counts, capped and uncapped, on a complete
+    /// `trace` must equal the full replay's; returns the full total.
+    fn assert_complete_matches(
+        plan: &UniversePlan,
+        trace: &CompiledTrace,
+        what: &str,
+    ) -> usize {
+        use crate::trace::SimEngine;
+        let oracle = trace.detect_universe(plan.universe(), Some(1), SimEngine::Full);
+        let mut scratch = PlanScratch::default();
+        let flags = plan.detect(trace, &mut scratch, &CancelToken::none());
+        assert_eq!(flags, oracle, "{what}: flags");
+        let total = oracle.iter().filter(|&&d| d).count();
+        for cap in caps(total) {
             let want = Some(cap.map_or(total, |c| total.min(c)));
-            let complete = plan.count_detected((&trace).into(), cap, &mut scratch);
-            assert_eq!(complete, want, "{what}: complete trace, cap {cap:?}");
+            let count = plan.count_detected(trace.into(), cap, &mut scratch);
+            assert_eq!(count, want, "{what}: complete trace, cap {cap:?}");
+        }
+        total
+    }
+
+    /// The plan of `universe` against `test` must take the uniform path and
+    /// match the full-replay oracle, capped and uncapped, on a complete
+    /// trace and on the arena's support-restricted compile.
+    fn assert_plan_matches(
+        g: MemGeometry,
+        universe: &[FaultKind],
+        test: &crate::MarchTest,
+        what: &str,
+    ) {
+        use crate::trace::TraceArena;
+        let opts = ExpandOptions::for_geometry(&g);
+        let plan = UniversePlan::new(g, universe);
+        let trace = CompiledTrace::compile(test, &g, &opts);
+        let path = plan.path(&(&trace).into());
+        assert_eq!(path, Some(Path::Uniform), "{what}: certificate must hold");
+        let total = assert_complete_matches(&plan, &trace, what);
+        let mut arena = TraceArena::new();
+        let mut scratch = PlanScratch::default();
+        for cap in caps(total) {
+            let want = Some(cap.map_or(total, |c| total.min(c)));
             let part = arena.compile_support(test, &g, &opts, &plan);
             let part = plan.count_detected(part, cap, &mut scratch);
             assert_eq!(part, want, "{what}: support-restricted trace, cap {cap:?}");
@@ -1793,35 +1891,86 @@ mod tests {
 
     #[test]
     fn universe_plan_declines_non_conforming_traces() {
+        use crate::element::{AddressOrder, MarchElement, MarchItem};
+        use crate::op::MarchOp;
+        use crate::trace::TraceArena;
+        use mbist_mem::{subset_universe, BusCycle, Operation, TestStep};
+        let spec = UniverseSpec::default();
         let g = MemGeometry::bit_oriented(4);
-        let universe = class_universe(&g, FaultClass::StuckAt, &UniverseSpec::default());
-        let plan = UniversePlan::new(g, &universe);
-        let w = |addr, bit| {
-            TestStep::Bus(BusCycle {
-                port: PortId(0),
-                addr,
-                op: Operation::Write(Bits::bit1(bit)),
-                expected: None,
-            })
+        let plan = UniversePlan::new(g, subset_universe(&g, &FaultClass::ALL, &spec, 64));
+        let bus = |addr, op, expected| {
+            TestStep::Bus(BusCycle { port: PortId(0), addr, op, expected })
         };
-        use mbist_mem::{BusCycle, Operation, TestStep};
-        // Non-monotone address order: no uniform certificate.
-        let scrambled =
-            CompiledTrace::from_steps(g, &[w(0, true), w(2, true), w(1, true), w(3, true)]);
-        assert!(!plan.applies(&scrambled));
-        // Uniform order but mixed data: more than one content class.
-        let mixed = CompiledTrace::from_steps(
-            g,
-            &[w(0, true), w(1, false), w(2, true), w(3, true)],
+        let w = |addr, bit| bus(addr, Operation::Write(Bits::bit1(bit)), None);
+        let r = |addr, bit| bus(addr, Operation::Read, Some(Bits::bit1(bit)));
+        // Read the opposite of `bit`, then write `bit`, at each address.
+        let element = |order: [u64; 4], bit: bool| -> Vec<TestStep> {
+            order.into_iter().flat_map(|a| [r(a, !bit), w(a, bit)]).collect()
+        };
+        let init: Vec<TestStep> = (0..4).map(|a| w(a, false)).collect();
+        // Complete traces outside the certificate take the general path,
+        // which must return the full replay's flags and counts.
+        let declined = [
+            // Non-monotone address order: no uniform certificate.
+            (
+                "scrambled",
+                [init.clone(), element([0, 2, 1, 3], true), element([3, 1, 2, 0], false)]
+                    .concat(),
+            ),
+            // Uniform order but mixed data: more than one content class.
+            (
+                "mixed",
+                vec![
+                    w(0, true),
+                    w(1, false),
+                    w(2, true),
+                    w(3, true),
+                    r(0, true),
+                    r(1, false),
+                ],
+            ),
+            // A read expecting 1 from a zeroed word: golden miscompares.
+            ("dirty", [vec![r(1, true)], init, element([0, 1, 2, 3], true)].concat()),
+        ];
+        for (what, steps) in declined {
+            let trace = CompiledTrace::from_steps(g, &steps);
+            assert_eq!(plan.path(&(&trace).into()), Some(Path::General), "{what}");
+            assert_complete_matches(&plan, &trace, what);
+        }
+        // A support-restricted compile outside the certificate is refused
+        // (the general path may read any word); the same test compiled
+        // complete is counted. A dirty march, then a real march on two
+        // words.
+        let dirty = crate::MarchTest::new(
+            "dirty",
+            vec![MarchItem::Element(MarchElement::new(
+                AddressOrder::Up,
+                vec![MarchOp::Read(true), MarchOp::Write(true)],
+            ))],
         );
-        assert!(!plan.applies(&mixed));
-        // Wrong geometry.
-        let g2 = MemGeometry::bit_oriented(8);
-        let t2 = CompiledTrace::from_steps(
-            g2,
-            &expand_with(&library::mats(), &g2, &ExpandOptions::for_geometry(&g2)),
+        let g2 = MemGeometry::bit_oriented(2);
+        let plan2 =
+            UniversePlan::new(g2, subset_universe(&g2, &FaultClass::ALL, &spec, 64));
+        let mut arena = TraceArena::new();
+        let mut scratch = PlanScratch::default();
+        for (plan, test, what) in
+            [(&plan, &dirty, "dirty march"), (&plan2, &library::march_c(), "two words")]
+        {
+            let opts = ExpandOptions::for_geometry(&plan.geometry);
+            let part = arena.compile_support(test, &plan.geometry, &opts, plan);
+            assert_eq!(plan.count_detected(part, None, &mut scratch), None, "{what}");
+            let complete = CompiledTrace::compile(test, &plan.geometry, &opts);
+            assert_complete_matches(plan, &complete, what);
+        }
+        // A trace of another geometry is refused outright.
+        let g8 = MemGeometry::bit_oriented(8);
+        let t8 = CompiledTrace::compile(
+            &library::mats(),
+            &g8,
+            &ExpandOptions::for_geometry(&g8),
         );
-        assert!(!plan.applies(&t2));
+        assert_eq!(plan.path(&(&t8).into()), None);
+        assert_eq!(plan.count_detected((&t8).into(), None, &mut scratch), None);
     }
 
     #[test]
@@ -1838,7 +1987,7 @@ mod tests {
             FaultClass::CouplingState,
         ];
         let universe = subset_universe(&g, &classes, &UniverseSpec::default(), 256);
-        let plan = UniversePlan::new(g, &universe);
+        let plan = UniversePlan::new(g, universe);
         assert!(
             plan.builds.is_empty() && plan.sliced.is_empty(),
             "all five classes are plan-routable"
@@ -1847,7 +1996,7 @@ mod tests {
             plan.groups.len() <= 16,
             "{} groups for {} faults",
             plan.groups.len(),
-            universe.len()
+            plan.universe.len()
         );
         // The search benchmark's nine-class universe: only decoder faults
         // take the sliced replay, and every pull-open fault sits in a route
@@ -1858,7 +2007,9 @@ mod tests {
         let plan = UniversePlan::new(g, &universe);
         assert!(!plan.sliced.is_empty());
         assert!(
-            plan.sliced.iter().all(|f| f.class() == FaultClass::AddressDecoder),
+            plan.sliced
+                .iter()
+                .all(|&i| universe[i as usize].class() == FaultClass::AddressDecoder),
             "only decoder faults lack a lane form"
         );
         let is_pull_open =
@@ -1868,14 +2019,14 @@ mod tests {
             .iter()
             .filter(|group| is_pull_open(&group.rep))
             .flat_map(|group| &group.slots)
-            .map(|masks| masks.lanes)
+            .map(|slot| slot.masks.lanes)
             .sum();
         let pull_open =
             universe.iter().filter(|f| f.class() == FaultClass::PullOpen).count();
         assert!(pull_open > 0);
         assert_eq!(grouped, pull_open, "every pull-open fault sits in a group");
         assert!(
-            plan.builds.iter().flatten().all(|spec| !is_pull_open(spec)),
+            plan.builds.iter().all(|(spec, _, _)| !is_pull_open(spec)),
             "no pull-open fault builds per fault"
         );
     }

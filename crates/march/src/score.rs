@@ -13,7 +13,9 @@
 //!   and replayed per candidate, so per-candidate work scales with the
 //!   number of distinct access programs, not the number of faults, and
 //!   candidates compile only the plan's support words, with no step
-//!   stream;
+//!   stream. A candidate the plan declines (golden miscompares, or too
+//!   few words for its certificate) is recompiled complete and counted by
+//!   the same plan's general path;
 //! - scoring stops early once `stop_after` detections are decided (the
 //!   lexicographic fitness only compares `min(detected, target)`).
 //!
@@ -29,19 +31,17 @@ use mbist_mem::{FaultKind, MemGeometry};
 
 use crate::cancel::CancelToken;
 use crate::expand::ExpandOptions;
-use crate::fanout::{resolve_jobs, WorkerScratch, MIN_CANDIDATES_PER_WORKER};
+use crate::fanout::{resolve_jobs, MIN_CANDIDATES_PER_WORKER};
 use crate::packed::{PlanScratch, UniversePlan};
 use crate::test::MarchTest;
 use crate::trace::{SimEngine, TraceArena};
 
-/// Per-worker scoring state: the reusable compile arena, the planned and
-/// general simulation scratch, and the worker's share of the
-/// compile/simulate time split.
+/// Per-worker scoring state: the reusable compile arena, the plan's
+/// scratch, and the worker's share of the compile/simulate time split.
 #[derive(Default)]
 struct EvalWorker {
     arena: TraceArena,
     plan: PlanScratch,
-    scratch: WorkerScratch,
     compile_ns: u64,
     simulate_ns: u64,
 }
@@ -57,9 +57,7 @@ struct EvalWorker {
 /// copy of its items past the prefix shared with the previous candidate
 /// (the next prefix key), and the distinct access programs it resolves,
 /// each copied out of the build buffer into the program store and as its
-/// content-map key. Candidates the plan declines, and the full engine, go
-/// through the general engine path, which allocates its flag and batch
-/// vectors per call. One scorer serves one `(geometry, expand options,
+/// content-map key. One scorer serves one `(geometry, expand options,
 /// universe, engine)` configuration.
 ///
 /// # Examples
@@ -84,13 +82,17 @@ struct EvalWorker {
 pub struct CandidateBatchScorer {
     geometry: MemGeometry,
     expand: ExpandOptions,
-    universe: Vec<FaultKind>,
-    engine: SimEngine,
-    /// Precomputed packed batching (`None` for the full engine — per-trace
-    /// eligibility is still re-checked per candidate). Worker arenas
-    /// compile candidates for it support-restricted.
-    plan: Option<UniversePlan>,
+    oracle: Oracle,
     workers: Vec<EvalWorker>,
+}
+
+/// What a scorer counts detections with; either way it owns the universe.
+enum Oracle {
+    /// The packed engine's precomputed batching. Worker arenas compile
+    /// candidates for it support-restricted.
+    Packed(UniversePlan<'static>),
+    /// The full-replay oracle, over the universe in order.
+    Full(Vec<FaultKind>),
 }
 
 impl CandidateBatchScorer {
@@ -102,17 +104,20 @@ impl CandidateBatchScorer {
         universe: Vec<FaultKind>,
         engine: SimEngine,
     ) -> Self {
-        let plan = match engine {
-            SimEngine::Packed => Some(UniversePlan::new(geometry, &universe)),
-            SimEngine::Full => None,
+        let oracle = match engine {
+            SimEngine::Packed => Oracle::Packed(UniversePlan::new(geometry, universe)),
+            SimEngine::Full => Oracle::Full(universe),
         };
-        Self { geometry, expand, universe, engine, plan, workers: Vec::new() }
+        Self { geometry, expand, oracle, workers: Vec::new() }
     }
 
     /// The fault universe candidates are scored against.
     #[must_use]
     pub fn universe(&self) -> &[FaultKind] {
-        &self.universe
+        match &self.oracle {
+            Oracle::Packed(plan) => plan.universe(),
+            Oracle::Full(universe) => universe,
+        }
     }
 
     /// The memory geometry candidates are expanded on.
@@ -130,7 +135,10 @@ impl CandidateBatchScorer {
     /// The simulation engine scores are computed with.
     #[must_use]
     pub fn engine(&self) -> SimEngine {
-        self.engine
+        match self.oracle {
+            Oracle::Packed(_) => SimEngine::Packed,
+            Oracle::Full(_) => SimEngine::Full,
+        }
     }
 
     /// Accumulated `(compile_ns, simulate_ns)` across all workers and
@@ -149,9 +157,7 @@ impl CandidateBatchScorer {
             test,
             &self.geometry,
             &self.expand,
-            &self.universe,
-            self.engine,
-            self.plan.as_ref(),
+            &self.oracle,
             stop_after,
             &mut self.workers[0],
         )
@@ -192,9 +198,8 @@ impl CandidateBatchScorer {
         let workers =
             resolve_jobs(jobs).min(tests.len() / MIN_CANDIDATES_PER_WORKER).max(1);
         self.ensure_workers(workers);
-        let Self { geometry, expand, universe, engine, plan, workers: pool } = self;
-        let (geometry, expand, universe) = (&*geometry, &*expand, &universe[..]);
-        let (engine, plan) = (*engine, plan.as_ref());
+        let Self { geometry, expand, oracle, workers: pool } = self;
+        let (geometry, expand, oracle) = (&*geometry, &*expand, &*oracle);
         if workers == 1 {
             let worker = &mut pool[0];
             for &idx in &order {
@@ -205,9 +210,7 @@ impl CandidateBatchScorer {
                     &tests[idx],
                     geometry,
                     expand,
-                    universe,
-                    engine,
-                    plan,
+                    oracle,
                     stop_after,
                     worker,
                 ));
@@ -230,9 +233,7 @@ impl CandidateBatchScorer {
                                 &tests[idx],
                                 geometry,
                                 expand,
-                                universe,
-                                engine,
-                                plan,
+                                oracle,
                                 stop_after,
                                 worker,
                             ));
@@ -294,37 +295,45 @@ fn structural_key(test: &MarchTest) -> Vec<u8> {
     key
 }
 
-/// The per-candidate hot path: arena recompile, then a capped count
-/// through the planned packed path when its signature holds, the general
-/// engine path otherwise.
-#[allow(clippy::too_many_arguments)]
+/// The per-candidate hot path: arena recompile, then a capped count.
+/// The packed plan gets a support-restricted compile first; a candidate it
+/// declines is recompiled complete, which the plan always counts.
 fn score_candidate(
     test: &MarchTest,
     geometry: &MemGeometry,
     expand: &ExpandOptions,
-    universe: &[FaultKind],
-    engine: SimEngine,
-    plan: Option<&UniversePlan>,
+    oracle: &Oracle,
     stop_after: Option<usize>,
     worker: &mut EvalWorker,
 ) -> usize {
     let t0 = Instant::now();
-    let mut t1 = t0;
-    let planned = plan.and_then(|plan| {
-        let trace = worker.arena.compile_support(test, geometry, expand, plan);
-        t1 = Instant::now();
-        plan.count_detected(trace, stop_after, &mut worker.plan)
-    });
-    // When the plan declines the candidate (golden miscompares, or a
-    // geometry too small for the uniform certificate), the general engine
-    // may read any word and the step stream, so it gets a complete
-    // compile. The search never produces such candidates (canonical tests
-    // replay clean), so the second compile stays off the hot path.
-    let detected = planned.unwrap_or_else(|| {
-        let trace = worker.arena.compile(test, geometry, expand);
-        t1 = Instant::now();
-        trace.count_detected_with(universe, engine, stop_after, &mut worker.scratch)
-    });
+    let mut t1;
+    let detected = match oracle {
+        Oracle::Packed(plan) => {
+            let trace = worker.arena.compile_support(test, geometry, expand, plan);
+            t1 = Instant::now();
+            match plan.count_detected(trace, stop_after, &mut worker.plan) {
+                Some(detected) => detected,
+                // The plan declines a support-restricted trace outside its
+                // certificate (golden miscompares, or too few words): its
+                // general path may read any word, so it gets a complete
+                // compile. The search never produces such candidates
+                // (canonical tests replay clean), so the second compile
+                // stays off the hot path.
+                None => {
+                    let trace = worker.arena.compile(test, geometry, expand);
+                    t1 = Instant::now();
+                    plan.count_detected(trace.into(), stop_after, &mut worker.plan)
+                        .expect("a plan counts every complete trace of its geometry")
+                }
+            }
+        }
+        Oracle::Full(universe) => {
+            let trace = worker.arena.compile(test, geometry, expand);
+            t1 = Instant::now();
+            trace.count_detected(universe, SimEngine::Full, stop_after)
+        }
+    };
     worker.compile_ns += u64::try_from((t1 - t0).as_nanos()).unwrap_or(u64::MAX);
     worker.simulate_ns += u64::try_from(t1.elapsed().as_nanos()).unwrap_or(u64::MAX);
     detected

@@ -21,9 +21,9 @@ use crate::trace::{CompiledTrace, PrevRead, TraceOp, TraceOpKind};
 /// Distinct words a support set can span (one cell per word worst case).
 pub(crate) const MAX_SUPPORT_WORDS: usize = MAX_SUPPORT_CELLS;
 
-/// Reusable per-worker replay scratch: the per-port sense-latch history is
-/// the only heap allocation a sliced replay needs, so hoisting it here
-/// makes the steady state of a fan-out worker allocation-free.
+/// Reusable replay scratch: the per-port sense-latch history is the only
+/// heap allocation a sliced replay needs, so hoisting it here makes the
+/// sliced replays of a plan run allocation-free.
 #[derive(Debug, Default)]
 pub(crate) struct SlicedScratch {
     last_read: Vec<Option<(u32, u64)>>,

@@ -15,7 +15,7 @@ use mbist_mem::{class_universe, FaultClass, FaultKind, MemGeometry, MemoryArray}
 use crate::coverage::{stride_sample, CoverageOptions};
 use crate::element::{AddressOrder, MarchElement, MarchItem};
 use crate::expand::{expand_with, ExpandOptions};
-use crate::fanout::{detect_universe_trace, WorkerScratch};
+use crate::fanout::detect_universe_trace;
 use crate::op::MarchOp;
 use crate::runner::run_steps_detect;
 use crate::test::MarchTest;
@@ -154,13 +154,12 @@ pub fn synthesize_march(name: &str, options: &SynthesisOptions) -> SynthesizedMa
     // the legacy expand→compile→detect round trip exactly, so the greedy
     // decisions — and the synthesized test — are unchanged.
     let mut arena = TraceArena::new();
-    let mut scratch = WorkerScratch::default();
     let mut trial_gain = |test: &MarchTest, list: &[FaultKind]| -> Option<usize> {
         let trace = arena.compile(test, &g, &expand_opts);
         if !trace.golden_miscompares().is_empty() {
             return None; // read expectations inconsistent with state
         }
-        Some(trace.count_detected_with(list, engine, None, &mut scratch))
+        Some(trace.count_detected(list, engine, None))
     };
     let survivors = |list: &[FaultKind], flags: &[bool]| -> Vec<FaultKind> {
         list.iter().zip(flags).filter(|&(_, &d)| !d).map(|(&f, _)| f).collect()

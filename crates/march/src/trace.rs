@@ -34,7 +34,7 @@ use mbist_rtl::Bits;
 
 use crate::element::MarchItem;
 use crate::expand::{cycle_count, expand_with, passes, step_count, ExpandOptions};
-use crate::packed::{SupportTrace, UniversePlan};
+use crate::packed::{PlanScratch, SupportTrace, UniversePlan};
 use crate::runner::run_steps_detect;
 use crate::sliced;
 use crate::test::MarchTest;
@@ -757,13 +757,15 @@ impl CompiledTrace {
     }
 
     /// Simulates every fault in `universe` against this trace through the
-    /// selected engine, fanning out across `jobs` workers, and returns one
-    /// detection flag per fault in universe order.
+    /// selected engine and returns one detection flag per fault in
+    /// universe order.
     ///
-    /// Worker count and engine only change wall-clock time, never the
-    /// flags — [`SimEngine::Packed`] batches compatible faults into
-    /// 256-lane `[u64; 4]` blocks and replays the trace once per batch,
-    /// while decoder faults transparently take the per-fault path.
+    /// [`SimEngine::Packed`] batches compatible faults into 256-lane
+    /// `[u64; 4]` blocks and replays the trace once per batch on the
+    /// calling thread, while decoder faults take the per-fault path;
+    /// [`SimEngine::Full`] fans its per-fault replays out across `jobs`
+    /// workers. Worker count and engine only change wall-clock time, never
+    /// the flags.
     ///
     /// # Panics
     ///
@@ -841,9 +843,9 @@ impl CompiledTrace {
     /// value, so a synthesis loop saves the tail of the universe for every
     /// candidate that already met its target.
     ///
-    /// The result is engine- and chunking-independent: with no cap (or an
+    /// The result is engine- and batching-independent: with no cap (or an
     /// unreached cap) the exact total is returned; a reached cap returns
-    /// the cap itself, never "cap plus however many the last chunk held".
+    /// the cap itself, never "cap plus however many the last batch held".
     ///
     /// # Panics
     ///
@@ -855,57 +857,19 @@ impl CompiledTrace {
         engine: SimEngine,
         stop_after: Option<usize>,
     ) -> usize {
-        let mut scratch = crate::fanout::WorkerScratch::default();
-        self.count_detected_with(universe, engine, stop_after, &mut scratch)
-    }
-
-    /// [`Self::count_detected`] with a caller-owned scratch, so a scoring
-    /// loop keeps one simulation scratch hot instead of reallocating per
-    /// candidate.
-    pub(crate) fn count_detected_with(
-        &self,
-        universe: &[FaultKind],
-        engine: SimEngine,
-        stop_after: Option<usize>,
-        scratch: &mut crate::fanout::WorkerScratch,
-    ) -> usize {
         universe.iter().for_each(|&fault| self.check_fault(fault));
-        let stop = stop_after.unwrap_or(usize::MAX);
-        if stop == 0 {
-            return 0;
-        }
-        let mut count = 0usize;
         match engine {
-            SimEngine::Packed => {
-                // Chunk granularity trades batch fullness (big chunks keep
-                // the 256 lanes packed) against cap responsiveness (small
-                // chunks exit sooner once the cap is reached).
-                const CAPPED_PACKED_CHUNK: usize = 1024;
-                for chunk in universe.chunks(CAPPED_PACKED_CHUNK) {
-                    let flags = crate::packed::detect_chunk(
-                        self,
-                        chunk,
-                        scratch,
-                        &crate::cancel::CancelToken::none(),
-                    );
-                    count += flags.iter().filter(|&&f| f).count();
-                    if count >= stop {
-                        return stop;
-                    }
-                }
-            }
+            SimEngine::Packed => UniversePlan::new(self.geometry, universe)
+                .count_detected(self.into(), stop_after, &mut PlanScratch::default())
+                .expect("a plan counts every complete trace of its geometry"),
             SimEngine::Full => {
-                for &fault in universe {
-                    if scratch.detect_full(self, fault) {
-                        count += 1;
-                        if count >= stop {
-                            return stop;
-                        }
-                    }
-                }
+                let mut scratch = MemoryArray::new(self.geometry);
+                let stop = stop_after.unwrap_or(usize::MAX);
+                let detected =
+                    universe.iter().filter(|&&f| self.detect_full(f, &mut scratch));
+                detected.take(stop).count()
             }
         }
-        count
     }
 
     /// Whether the address-uniform-march certificate holds (see the field
@@ -997,9 +961,14 @@ impl TraceArena {
         test: &MarchTest,
         geometry: &MemGeometry,
         options: &ExpandOptions,
-        plan: &UniversePlan,
+        plan: &UniversePlan<'_>,
     ) -> SupportTrace<'_> {
-        SupportTrace::from(self.compile_with(test, geometry, options, Some(plan.support())))
+        SupportTrace::restricted(self.compile_with(
+            test,
+            geometry,
+            options,
+            Some(plan.support()),
+        ))
     }
 
     /// Shared body of both compiles: roll back to the last checkpoint the

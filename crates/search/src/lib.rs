@@ -107,7 +107,7 @@ pub struct SearchOptions {
     /// Upper bound on march elements per candidate (excluding the `⇕(w0)`
     /// initialization).
     pub max_elements: usize,
-    /// Worker threads for the detection fan-out (`None` = auto). Has no
+    /// Worker threads for the candidate fan-out (`None` = auto). Has no
     /// effect on the result, only on wall-clock time.
     pub jobs: Option<usize>,
     /// Simulation engine scoring candidates. Detection flags are
