@@ -398,9 +398,9 @@ fn main() {
     );
 
     // Full mode only: the wide 1024×1 row over every fault class, which
-    // drags in the per-fault paths (stuck-open and retention builds, and
-    // the decoder faults' sliced replay) — sustained throughput on the
-    // heavy configuration, not an acceptance gate.
+    // drags in every keyed route (stuck-open edges, retention rank
+    // intervals, decoder verdict groups) and both NPSF classes — sustained
+    // throughput on the heavy configuration, not an acceptance gate.
     let wide = (!quick).then(|| {
         let wide_geometry = MemGeometry::bit_oriented(1024);
         let wide_options = SearchOptions {

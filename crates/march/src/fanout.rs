@@ -30,6 +30,7 @@
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::thread;
 
 use mbist_mem::{FaultKind, MemoryArray};
@@ -45,18 +46,27 @@ use crate::trace::{CompiledTrace, SimEngine};
 const MIN_FAULTS_PER_WORKER: usize = 256;
 
 /// Candidate-batch analogue of the fault floor ([`crate::score`]): one
-/// candidate is a whole compile+simulate unit (tens of microseconds), so
-/// the break-even batch size per worker is far smaller than for faults.
-pub(crate) const MIN_CANDIDATES_PER_WORKER: usize = 4;
+/// candidate is a whole compile+simulate unit of about 11 µs on the search
+/// benchmark's universe, against 23–34 µs for a thread scope that spawns
+/// one worker beside the calling thread. At a floor of 4 a generation's
+/// ~9 uncached candidates split in two and searches at the default worker
+/// count ran about 15% slower than at one worker; at 8 a generation stays
+/// on the calling thread (EXPERIMENTS.md).
+pub(crate) const MIN_CANDIDATES_PER_WORKER: usize = 8;
 
 /// Resolves a `jobs` request to a concrete worker count.
 ///
 /// `None` asks the host ([`std::thread::available_parallelism`], falling
-/// back to 1); `Some(n)` forces `n` (clamped to at least 1).
+/// back to 1) once per process: the query reads the affinity mask and
+/// cgroup quota, about 22 µs on a 2-core Linux host, which is two search
+/// candidates' worth of work, and the search asks once per batch.
+/// `Some(n)` forces `n` (clamped to at least 1).
 pub(crate) fn resolve_jobs(jobs: Option<usize>) -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
     match jobs {
         Some(n) => n.max(1),
-        None => thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        None => *HOST
+            .get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get)),
     }
 }
 

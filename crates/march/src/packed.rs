@@ -16,8 +16,9 @@
 //! trace's pause-adjusted timestamps into per-op `decayed` flags), and
 //! fixed-shape five-cell NPSF neighborhoods (neighborhood activation is
 //! reconstructed from the golden neighbor values at build time, so the
-//! lane update is a compile-time branch). Only decoder faults stay
-//! per fault — they take the sliced two-word decoder replay.
+//! lane update is a compile-time branch). Decoder faults have no lane form:
+//! they take the sliced two-word decoder replay, once per fault on a
+//! general trace and once per verdict key on an address-uniform one.
 //!
 //! # Lane encoding
 //!
@@ -58,12 +59,14 @@
 //!
 //! [`UniversePlan`] is the one scheduler: every packed call — coverage,
 //! synthesis, the service, the search oracle — batches its universe
-//! through a plan and runs it on the calling thread. Decoder faults are
-//! not address-local and never lane-pack; they take the sliced two-word
-//! decoder replay, so reports stay bit-identical to
-//! [`SimEngine::Full`](crate::SimEngine::Full) — the equivalence the
-//! `sliced_equivalence` proptest suite and the `engine_corpus` regression
-//! corpus pin.
+//! through a plan and runs it on the calling thread. On an address-uniform
+//! trace every fault's work is fixed at plan time by a key — a route group,
+//! a retention rank group or a decoder verdict group — so a run costs
+//! about its distinct programs, whatever the universe size or word count.
+//! Reports stay bit-identical to [`SimEngine::Full`](crate::SimEngine::Full)
+//! — the equivalence the `sliced_equivalence` proptest suite, the
+//! `engine_corpus` regression corpus and this module's random-march
+//! property test pin.
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -75,7 +78,7 @@ use mbist_mem::{CellId, FaultKind};
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_STRIDE};
 use crate::sliced::{detect_sliced_with, SlicedScratch};
-use crate::trace::{CompiledTrace, FnvBuild, TraceOpKind};
+use crate::trace::{CompiledTrace, FnvBuild, TraceOp, TraceOpKind};
 
 /// `u64` blocks per lane vector.
 const LANE_BLOCKS: usize = 4;
@@ -624,35 +627,39 @@ fn build_sof(
     }
 }
 
-/// Builds the retention / pull-open program for one cell into `program`:
-/// writes commit normally, and each read carries the build-time decay
-/// verdict of the rule's schedule (wall-clock deadline or consecutive-read
-/// budget — both functions of the trace alone, never of the lane values).
-/// The pull-open schedule reads only the op content, never a timestamp.
+/// Builds the retention / pull-open program for bit `bit` of a word whose
+/// op list is `ops` and whose `j`-th access runs at `now_ns(j)` into
+/// `program`: writes commit normally, and each read carries the build-time
+/// decay verdict of the rule's schedule (wall-clock deadline or
+/// consecutive-read budget — both functions of the trace alone, never of
+/// the lane values). The pull-open schedule reads only the op content,
+/// never a timestamp.
 fn build_decay(
-    trace: &CompiledTrace,
-    cell: CellId,
+    ops: &[TraceOp],
+    bit: u8,
     rule: DecayRule,
+    now_ns: impl Fn(usize) -> f64,
     program: &mut Vec<SigOp>,
 ) {
-    let bit = 1u64 << cell.bit;
+    let bit = 1u64 << bit;
     let mut last_write_ns = 0.0f64;
     let mut consecutive_reads = 0u8;
-    for op in trace.ops_for_word(cell.word) {
+    for (j, op) in ops.iter().enumerate() {
         match op.kind {
             TraceOpKind::Write(data) => {
-                last_write_ns = op.now_ns;
+                last_write_ns = now_ns(j);
                 consecutive_reads = 0;
                 program.push(SigOp::WVic { d: data & bit != 0 });
             }
             TraceOpKind::Read { expected, golden, .. } => {
                 let decayed = match rule {
                     DecayRule::Retention { ns_bits } => {
-                        let hit = op.now_ns - last_write_ns > f64::from_bits(ns_bits);
+                        let now = now_ns(j);
+                        let hit = now - last_write_ns > f64::from_bits(ns_bits);
                         if hit {
                             // The decayed store refreshes the cell like any
                             // write.
-                            last_write_ns = op.now_ns;
+                            last_write_ns = now;
                         }
                         hit
                     }
@@ -975,14 +982,23 @@ impl Programs {
                 build_sof(trace, spec.vic, &mut self.self_reads, program)
             }
             LaneClass::Decay => {
-                build_decay(trace, spec.vic, spec.decay.expect("decay rule"), program);
+                let ops = trace.ops_for_word(spec.vic.word);
+                let rule = spec.decay.expect("decay rule");
+                build_decay(ops, spec.vic.bit, rule, |j| ops[j].now_ns, program);
             }
             LaneClass::NpsfStatic | LaneClass::NpsfActive => {
                 build_npsf(trace, &spec.npsf.expect("npsf shape"), program);
             }
             _ => build_plain(trace, spec.vic, spec.agg, program),
         }
-        let flipped = canonicalize(program);
+        self.resolve()
+    }
+
+    /// Canonicalizes the build buffer and resolves it against the programs
+    /// already stored. Returns the program id plus the flip the lanes must
+    /// record.
+    fn resolve(&mut self) -> (usize, bool) {
+        let flipped = canonicalize(&mut self.build);
         let id = match self.last {
             Some(last) if self.store[last] == self.build => last,
             _ => match self.by_content.get(self.build.as_slice()) {
@@ -998,6 +1014,18 @@ impl Programs {
         self.last = Some(id);
         (id, flipped)
     }
+}
+
+/// Where a word sits in every element's visit order — the only place
+/// stuck-open programs differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Edge {
+    /// Address 0: visited first by every ⇑ element, last by every ⇓ one.
+    Lowest,
+    Interior,
+    /// The top address: visited first by every ⇓ element, last by every ⇑
+    /// one.
+    Highest,
 }
 
 /// A fault's O(1) batch route under a [`UniversePlan`]'s certificate —
@@ -1035,13 +1063,21 @@ enum RouteKey {
     /// identically — so it depends only on the bit position and the read
     /// budget.
     PullOpen { bit: u8, good_reads: u8 },
+    /// A stuck-open fault: the sense latch holds the port's previous read.
+    /// An interior word's first read on a port in each element latches the
+    /// golden read of the neighbour visited just before it (same element,
+    /// same content), and its later reads latch itself. Only the lowest
+    /// and highest words see element boundaries — the previous element's
+    /// last read, or the invalid latch — so the program depends only on
+    /// the bit position and the edge.
+    StuckOpen { bit: u8, edge: Edge },
 }
 
-/// The route of `spec` under the plan's certificate, or `None` for the
-/// stuck-open and retention families, whose programs depend on the word's
-/// place in the stream (sense history, timestamps) and fold by content,
-/// not by a trace-independent key (cheap — their builds walk one op list).
-fn route_of(spec: &LaneSpec) -> Option<RouteKey> {
+/// The route of `spec` on a `words`-word memory under the plan's
+/// certificate, or `None` for a retention fault, whose program depends on
+/// its word's access times: the plan groups those by address rank instead
+/// ([`RankGroup`]).
+fn route_of(spec: &LaneSpec, words: u64) -> Option<RouteKey> {
     match spec.class {
         LaneClass::StuckAt
         | LaneClass::Transition
@@ -1082,7 +1118,14 @@ fn route_of(spec: &LaneSpec) -> Option<RouteKey> {
             }
             _ => None,
         },
-        LaneClass::StuckOpen => None,
+        LaneClass::StuckOpen => {
+            let edge = match spec.vic.word {
+                0 => Edge::Lowest,
+                w if w + 1 == words => Edge::Highest,
+                _ => Edge::Interior,
+            };
+            Some(RouteKey::StuckOpen { bit: spec.vic.bit, edge })
+        }
     }
 }
 
@@ -1095,6 +1138,139 @@ struct PlanGroup {
     /// The group's batches, with raw (never-flipped) lane masks, re-based
     /// by the group's canonicalization flip at run time.
     slots: Vec<Slot>,
+}
+
+/// The retention faults of one bit and deadline, in address order. Under
+/// the timing certificate each op's time is affine in the word address
+/// ([`RankClock`]), so is the time a read sees since the last write, and
+/// each read's decay verdict flips at most once across the addresses: a
+/// run splits them into a few intervals of constant verdicts
+/// ([`decay_intervals`]), builds one program per interval, and gives it
+/// the members in that interval as lanes.
+struct RankGroup {
+    bit: u8,
+    /// The deadline, as [`DecayRule::Retention`] bits.
+    ns_bits: u64,
+    /// Member words, ascending (ties in universe order)…
+    words: Vec<u64>,
+    /// …and the members' universe indices, in the same order.
+    faults: Vec<u32>,
+    /// Bit `i` set: member `i` decays to 1 (its raw `forced` constant).
+    forced: Vec<u64>,
+}
+
+/// The lanes `from..from + LANES` of the bit vector `bits`, shifted down
+/// to lane 0 (bits past the end read 0).
+fn lanes_at(bits: &[u64], from: usize) -> Lanes {
+    let word = |k: usize| bits.get(k).copied().unwrap_or(0);
+    let mut lanes = Lanes::ZERO;
+    for (i, block) in lanes.0.iter_mut().enumerate() {
+        let (k, shift) = ((from + 64 * i) / 64, from % 64);
+        *block = if shift == 0 {
+            word(k)
+        } else {
+            word(k) >> shift | word(k + 1) << (64 - shift)
+        };
+    }
+    lanes
+}
+
+/// The access times of a trace under its timing certificate, read off its
+/// lowest and highest words: op `j` of word `w` runs at an exact integer
+/// number of ns, affine in `w`.
+#[derive(Clone, Copy)]
+struct RankClock<'t> {
+    low: &'t [TraceOp],
+    high: &'t [TraceOp],
+    /// The top address (at least 1).
+    span: i64,
+}
+
+impl<'t> RankClock<'t> {
+    fn of(trace: &'t CompiledTrace) -> Self {
+        let top = trace.geometry().words() - 1;
+        let span = i64::try_from(top.max(1)).expect("words fit i64");
+        Self { low: trace.ops_for_word(0), high: trace.ops_for_word(top), span }
+    }
+
+    fn at(&self, j: usize, word: u64) -> i64 {
+        // Integers below 2^53 under the certificate: the casts are exact.
+        let (low, high) = (self.low[j].now_ns as i64, self.high[j].now_ns as i64);
+        low + (high - low) / self.span * word as i64
+    }
+}
+
+/// Splits the addresses `0..words` into the intervals on which every read
+/// of the lowest word's op list — whose content every word shares — has
+/// one decay verdict against `retention_ns`, in address order. `pending`
+/// is the worklist of intervals still to walk, each with its next op and
+/// its last write or refresh.
+fn decay_intervals(
+    clock: RankClock<'_>,
+    words: u64,
+    retention_ns: f64,
+    pending: &mut Vec<(u64, u64, usize, Option<usize>)>,
+    out: &mut Vec<(u64, u64)>,
+) {
+    out.clear();
+    pending.push((0, words - 1, 0, None));
+    while let Some((lo, mut hi, from, mut last)) = pending.pop() {
+        for (j, op) in clock.low.iter().enumerate().skip(from) {
+            if let TraceOpKind::Write(_) = op.kind {
+                last = Some(j);
+                continue;
+            }
+            // Power-up counts as a write at 0 ns; integers below 2^53, so
+            // the gap is exactly the one `build_decay` compares.
+            let decayed = |w: u64| {
+                let since = last.map_or(0, |i| clock.at(i, w));
+                (clock.at(j, w) - since) as f64 > retention_ns
+            };
+            let verdict = decayed(lo);
+            if decayed(hi) != verdict {
+                // Affine in the address, so the verdict flips once: bisect
+                // for the first address with the other one.
+                let (mut a, mut b) = (lo, hi);
+                while b - a > 1 {
+                    let mid = a + (b - a) / 2;
+                    if decayed(mid) == verdict {
+                        a = mid;
+                    } else {
+                        b = mid;
+                    }
+                }
+                pending.push((b, hi, j, last));
+                hi = a;
+            }
+            if verdict {
+                last = Some(j);
+            }
+        }
+        out.push((lo, hi));
+    }
+    out.sort_unstable();
+}
+
+/// A decoder fault's verdict key under the certificate: the kind, the
+/// wired polarity, and whether the fault's first word is the lower one.
+/// The two-word decoder replay reads only the pair's op lists, which carry
+/// the same content and merge in an order fixed by which word is lower, so
+/// every fault with one key has one verdict.
+fn decoder_key(fault: FaultKind) -> Option<(bool, bool, bool)> {
+    match fault {
+        FaultKind::AddressMap { from, to } => Some((false, false, from < to)),
+        FaultKind::AddressMulti { addr, extra, wired_and } => {
+            Some((true, wired_and, addr < extra))
+        }
+        _ => None,
+    }
+}
+
+/// Decoder faults sharing one verdict key: one sliced replay of the
+/// representative (the first member) decides them all.
+struct VerdictGroup {
+    rep: FaultKind,
+    faults: Vec<u32>,
 }
 
 /// A trace as a [`UniversePlan`] reads it: either a complete
@@ -1126,16 +1302,19 @@ impl<'a> From<&'a CompiledTrace> for SupportTrace<'a> {
 }
 
 /// The buffers a [`UniversePlan`] reuses from one run to the next: the
-/// program store with its build buffer, the open batches, and the
-/// sense-latch scratch of the lane and sliced replays.
+/// program store with its build buffer, the general path's open batches,
+/// the rank-interval scratch, and the sense-latch scratch of the lane and
+/// sliced replays.
 #[derive(Default)]
 pub(crate) struct PlanScratch {
     programs: Programs,
-    /// The program each build key resolved to in this run.
-    built: Vec<Option<(usize, bool)>>,
     /// The open batch of each `(class, program)`; emptied, not dropped,
     /// between runs, so their index buffers stay allocated.
     open: HashMap<(LaneClass, usize), Slot, FnvBuild>,
+    /// The retention intervals of the deadline being replayed, and their
+    /// worklist ([`decay_intervals`]).
+    intervals: Vec<(u64, u64)>,
+    pending: Vec<(u64, u64, usize, Option<usize>)>,
     latch: Vec<Lanes>,
     sliced: SlicedScratch,
 }
@@ -1165,6 +1344,20 @@ impl Verdicts<'_> {
             }
         }
         self.done()
+    }
+
+    /// Credits one verdict to every fault in `faults`; returns whether the
+    /// cap is reached (the caller polls the token).
+    fn credit(&mut self, detected: bool, faults: &[u32]) -> bool {
+        if detected {
+            self.count += faults.len();
+            if let Some(flags) = &mut self.flags {
+                for &fault in faults {
+                    flags[fault as usize] = true;
+                }
+            }
+        }
+        self.count >= self.stop
     }
 
     fn done(&self) -> bool {
@@ -1226,17 +1419,61 @@ impl Run<'_, '_> {
         false
     }
 
-    /// The sliced replay of a fault with no lane form; returns whether the
-    /// cap is reached (the caller polls the token).
-    fn sliced(&mut self, fault: FaultKind, index: u32) -> bool {
-        let detected = detect_sliced_with(self.trace, fault, &mut self.scratch.sliced)
+    /// The sliced replay of `rep`, a fault with no lane form, credited to
+    /// every fault in `faults`; returns whether the cap is reached (the
+    /// caller polls the token).
+    fn replay(&mut self, rep: FaultKind, faults: &[u32]) -> bool {
+        let detected = detect_sliced_with(self.trace, rep, &mut self.scratch.sliced)
             .expect("every fault has support cells or decoder words");
-        let verdicts = &mut *self.verdicts;
-        verdicts.count += usize::from(detected);
-        if let Some(flags) = &mut verdicts.flags {
-            flags[index as usize] = detected;
+        self.verdicts.credit(detected, faults)
+    }
+
+    /// Replays the rank groups: per deadline, the addresses split into
+    /// intervals of constant decay verdicts, and a group's members in one
+    /// interval share one program, built from the lowest word's content at
+    /// the interval's first address. Returns whether the run is over.
+    fn ranked(&mut self, groups: &[RankGroup]) -> bool {
+        if groups.is_empty() {
+            return false;
         }
-        verdicts.count >= verdicts.stop
+        let g = self.trace.geometry();
+        let clock = RankClock::of(self.trace);
+        let PlanScratch { programs, intervals, pending, latch, .. } = &mut *self.scratch;
+        let mut split_for = None;
+        for group in groups {
+            if split_for != Some(group.ns_bits) {
+                let ns = f64::from_bits(group.ns_bits);
+                decay_intervals(clock, g.words(), ns, pending, intervals);
+                split_for = Some(group.ns_bits);
+            }
+            let rule = DecayRule::Retention { ns_bits: group.ns_bits };
+            for &(lo, hi) in intervals.iter() {
+                let start = group.words.partition_point(|&w| w < lo);
+                let end = group.words.partition_point(|&w| w <= hi);
+                if start == end {
+                    continue;
+                }
+                programs.build.clear();
+                let now_ns = |j| clock.at(j, lo) as f64;
+                build_decay(clock.low, group.bit, rule, now_ns, &mut programs.build);
+                let (pid, flipped) = programs.resolve();
+                for from in (start..end).step_by(LANES) {
+                    let lanes = (end - from).min(LANES);
+                    let masks = LaneMasks {
+                        lanes,
+                        forced: lanes_at(&group.forced, from),
+                        ..LaneMasks::new(LaneClass::Decay)
+                    };
+                    let masks = masks.flip_corrected(flipped);
+                    let detected =
+                        run_batch(&programs.store[pid], &masks, g.ports(), latch);
+                    if self.verdicts.record(detected, &group.faults[from..from + lanes]) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
     }
 }
 
@@ -1255,33 +1492,39 @@ enum Path {
 /// A run takes one of two paths, chosen per trace:
 ///
 /// - **Uniform path**, when the plan's certificate holds: same geometry,
-///   one content class across words, address-uniform order, and no
-///   fault-free miscompares — every expanded march on three or more words
-///   that replays clean. Each fault sits on one of three routes fixed at
-///   plan time:
-///   - *Route groups.* The batch route of every plain, NPSF and pull-open
-///     fault is a function of the fault alone ([`route_of`]), so lane
-///     order, per-lane constant masks and batch membership are computed
-///     once here, and a run costs one program build per group and one
-///     [`run_batch`] per slot.
-///   - *Per-fault builds.* Stuck-open and retention programs depend on
-///     the word's place in the stream, so those faults are lowered to
-///     [`LaneSpec`]s once, tagged with their build key. Per run, each
-///     key's program is built once and resolved against the programs the
-///     run already built, and each lane joins that program's open batch.
-///   - *Sliced replay.* Faults with no lane form (decoder faults, NPSF
-///     neighborhoods that reuse a word) take the per-fault sliced replay.
+///   one content class across words (ports included), address-uniform
+///   order, no fault-free miscompares and — when the plan holds retention
+///   faults — access times that are exact integers affine in the address.
+///   Every expanded march on three or more words that replays clean and
+///   has no fractional pause holds it. Each fault's work is fixed at plan
+///   time by a key, so a run costs about its distinct programs, not its
+///   faults:
+///   - *Route groups.* The batch route of every plain, NPSF, pull-open and
+///     stuck-open fault is a function of the fault alone ([`route_of`]),
+///     so lane order, per-lane constant masks and batch membership are
+///     computed once here, and a run costs one program build per group and
+///     one [`run_batch`] per slot.
+///   - *Rank groups.* Retention faults group by bit and deadline, in
+///     address order ([`RankGroup`]). A run splits the addresses into
+///     intervals of constant decay verdicts, read off the lowest and
+///     highest words' times, and builds one program per interval.
+///   - *Verdict groups.* Decoder faults group by kind, wired polarity and
+///     word order ([`decoder_key`]); one sliced replay of a representative
+///     decides each group.
+///   - *Sliced replay.* The other faults with no lane form (hand-made NPSF
+///     neighborhoods that reuse a word) replay one by one.
 /// - **General path**, for any other complete trace of the geometry
-///   (hand-made streams, dirty marches, one- and two-word memories): each
-///   lane fault's program is built and resolved in universe order, its
-///   lane is pre-detected when a golden miscompare lands outside its
-///   victim word, and faults with no lane form take the sliced replay.
+///   (hand-made streams, dirty marches, one- and two-word memories, and
+///   fractional pauses when retention faults are planned): each lane
+///   fault's program is built and resolved in universe order, its lane is
+///   pre-detected when a golden miscompare lands outside its victim word,
+///   and faults with no lane form take the sliced replay.
 ///
-/// The uniform path reads only the support words or decoder words of the
-/// faults it replays (a group: of its representative), never the step
-/// stream, so search candidates compile only the plan's support set.
-/// Per-lane updates never depend on batch composition, so both paths
-/// return the full replay's verdicts.
+/// The uniform path reads only the words of its representatives (and the
+/// lowest and highest words, for rank groups), never the step stream, so
+/// search candidates compile only the plan's support set — a handful of
+/// words. Per-lane updates never depend on batch composition, so both
+/// paths return the full replay's verdicts.
 pub(crate) struct UniversePlan<'u> {
     geometry: mbist_mem::MemGeometry,
     /// The planned faults — borrowed by a one-shot run, owned by a search
@@ -1289,16 +1532,16 @@ pub(crate) struct UniversePlan<'u> {
     /// replays read them by index.
     universe: Cow<'u, [FaultKind]>,
     groups: Vec<PlanGroup>,
-    /// Stuck-open and retention faults in lane form, in universe order,
-    /// with their universe indices and dense build-key ids.
-    builds: Vec<(LaneSpec, u32, u32)>,
-    /// Distinct build keys among `builds`.
-    build_keys: usize,
-    /// Universe indices of the faults with no lane form.
+    /// Retention faults by bit and deadline, ordered by deadline so a run
+    /// splits the addresses once per deadline.
+    ranked: Vec<RankGroup>,
+    /// Decoder faults by verdict key.
+    decoders: Vec<VerdictGroup>,
+    /// Universe indices of the other faults with no lane form.
     sliced: Vec<u32>,
     /// The words the uniform path reads, computed on first use
     /// ([`Self::support`]).
-    support: OnceLock<Vec<bool>>,
+    support: OnceLock<Vec<u64>>,
 }
 
 impl<'u> UniversePlan<'u> {
@@ -1315,26 +1558,33 @@ impl<'u> UniversePlan<'u> {
         let mut groups: Vec<PlanGroup> = Vec::new();
         let mut by_route: HashMap<RouteKey, usize, FnvBuild> =
             HashMap::with_hasher(FnvBuild);
-        let mut builds = Vec::new();
-        // A per-fault build's key: a stuck-open program depends on its cell,
-        // a retention program on its cell and decay rule (both polarities
-        // share it after canonicalization).
-        let mut by_build: HashMap<(CellId, Option<DecayRule>), u32, FnvBuild> =
+        let mut decoders: Vec<VerdictGroup> = Vec::new();
+        let mut by_verdict: HashMap<(bool, bool, bool), usize, FnvBuild> =
             HashMap::with_hasher(FnvBuild);
+        // Retention faults as (deadline, bit, word, universe index, decays
+        // to 1).
+        let mut retention = Vec::new();
         let mut sliced = Vec::new();
         for (index, &fault) in universe.iter().enumerate() {
             let index = u32::try_from(index).expect("universe index fits u32");
             let Some(spec) = lane_spec(fault) else {
-                sliced.push(index);
+                match decoder_key(fault) {
+                    Some(key) => {
+                        let gi = *by_verdict.entry(key).or_insert_with(|| {
+                            decoders.push(VerdictGroup { rep: fault, faults: Vec::new() });
+                            decoders.len() - 1
+                        });
+                        decoders[gi].faults.push(index);
+                    }
+                    None => sliced.push(index),
+                }
                 continue;
             };
-            let Some(key) = route_of(&spec) else {
-                let keys = u32::try_from(by_build.len()).expect("key count fits u32");
-                builds.push((
-                    spec,
-                    index,
-                    *by_build.entry((spec.vic, spec.decay)).or_insert(keys),
-                ));
+            let Some(key) = route_of(&spec, geometry.words()) else {
+                let Some(DecayRule::Retention { ns_bits }) = spec.decay else {
+                    unreachable!("only retention faults route by rank");
+                };
+                retention.push((ns_bits, spec.vic.bit, spec.vic.word, index, spec.forced));
                 continue;
             };
             let gi = match by_route.entry(key) {
@@ -1352,9 +1602,26 @@ impl<'u> UniversePlan<'u> {
             // and pre-detection is impossible under a clean golden replay.
             slots.last_mut().expect("slot just ensured").push(&spec, index, false, false);
         }
-        let build_keys = by_build.len();
+        // Stable: members at one word stay in universe order.
+        retention.sort_by_key(|&(ns_bits, bit, word, ..)| (ns_bits, bit, word));
+        let ranked = retention
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .map(|members| {
+                let mut forced = vec![0u64; members.len().div_ceil(64)];
+                for (i, _) in members.iter().enumerate().filter(|(_, m)| m.4) {
+                    forced[i / 64] |= 1 << (i % 64);
+                }
+                RankGroup {
+                    bit: members[0].1,
+                    ns_bits: members[0].0,
+                    words: members.iter().map(|m| m.2).collect(),
+                    faults: members.iter().map(|m| m.3).collect(),
+                    forced,
+                }
+            })
+            .collect();
         let support = OnceLock::new();
-        Self { geometry, universe, groups, builds, build_keys, sliced, support }
+        Self { geometry, universe, groups, ranked, decoders, sliced, support }
     }
 
     /// The planned faults, in universe order.
@@ -1362,21 +1629,28 @@ impl<'u> UniversePlan<'u> {
         &self.universe
     }
 
-    /// The support set a restricted [`SupportTrace`] for this plan must
-    /// cover: the support words of each group's representative (the
-    /// group's program is built from it alone) and of every other lane
-    /// fault, and the support words or decoder word pair of each sliced
-    /// fault. Computed once, on first use — one-shot runs never need it.
-    pub(crate) fn support(&self) -> &[bool] {
+    /// The support words, in address order, a restricted [`SupportTrace`]
+    /// for this plan must cover: the support words of each route group's
+    /// representative (the group's program is built from it alone), the
+    /// word pair of each verdict group's representative, the support words
+    /// or decoder word pair of each sliced fault, and — with rank groups —
+    /// the lowest and highest words, whose times and content every
+    /// interval program is built from. Computed once, on first use —
+    /// one-shot runs never need it.
+    pub(crate) fn support(&self) -> &[u64] {
         self.support.get_or_init(|| {
             let words = usize::try_from(self.geometry.words()).expect("words fit");
-            let mut support = vec![false; words];
+            let mut mask = vec![false; words];
             let reps = self.groups.iter().map(|group| group.slots[0].faults[0]);
-            let builds = self.builds.iter().map(|&(_, index, _)| index);
-            for index in reps.chain(builds).chain(self.sliced.iter().copied()) {
-                mark_replay_words(self.universe[index as usize], &mut support);
+            let decoders = self.decoders.iter().map(|group| group.faults[0]);
+            for index in reps.chain(decoders).chain(self.sliced.iter().copied()) {
+                mark_replay_words(self.universe[index as usize], &mut mask);
             }
-            support
+            if !self.ranked.is_empty() {
+                mask[0] = true;
+                mask[words - 1] = true;
+            }
+            (0..).zip(mask).filter_map(|(word, tracked)| tracked.then_some(word)).collect()
         })
     }
 
@@ -1388,7 +1662,11 @@ impl<'u> UniversePlan<'u> {
         if t.geometry() != self.geometry {
             return None;
         }
-        if t.uniform_interleave() && t.monoclass() && t.golden_miscompares().is_empty() {
+        if t.uniform_interleave()
+            && t.monoclass()
+            && t.golden_miscompares().is_empty()
+            && (self.ranked.is_empty() || t.affine_time())
+        {
             Some(Path::Uniform)
         } else {
             trace.complete.then_some(Path::General)
@@ -1439,7 +1717,7 @@ impl<'u> UniversePlan<'u> {
 
     /// Runs every fault on `path`, feeding `verdicts`; returns whether the
     /// run ended early (cap reached or token tripped). The token is polled
-    /// per batch and once per stride of per-fault work.
+    /// per batch and group, and once per stride of per-fault work.
     fn run(
         &self,
         trace: &CompiledTrace,
@@ -1448,8 +1726,6 @@ impl<'u> UniversePlan<'u> {
         verdicts: &mut Verdicts<'_>,
     ) -> bool {
         scratch.programs.clear();
-        scratch.built.clear();
-        scratch.built.resize(self.build_keys, None);
         scratch.open.values_mut().for_each(Slot::clear);
         let mut run = Run { trace, scratch, verdicts };
         let poll = |nth: usize, run: &Run| {
@@ -1461,7 +1737,7 @@ impl<'u> UniversePlan<'u> {
                 let index = nth as u32; // fits: checked at plan time
                 let over = poll(nth, &run)
                     || match lane_spec(fault) {
-                        None => run.sliced(fault, index),
+                        None => run.replay(fault, &[index]),
                         Some(spec) => {
                             let program = run.scratch.programs.id_for(trace, &spec);
                             let pre_detected =
@@ -1483,18 +1759,18 @@ impl<'u> UniversePlan<'u> {
                 }
             }
         }
-        for (spec, index, key) in &self.builds {
-            let PlanScratch { programs, built, .. } = &mut *run.scratch;
-            let program =
-                *built[*key as usize].get_or_insert_with(|| programs.id_for(trace, spec));
-            if run.lane(spec, *index, program, false) {
+        if run.ranked(&self.ranked) {
+            return true;
+        }
+        for group in &self.decoders {
+            run.replay(group.rep, &group.faults);
+            if run.verdicts.done() {
                 return true;
             }
         }
-        run.flush()
-            || self.sliced.iter().enumerate().any(|(nth, &index)| {
-                poll(nth, &run) || run.sliced(self.universe[index as usize], index)
-            })
+        self.sliced.iter().enumerate().any(|(nth, &index)| {
+            poll(nth, &run) || run.replay(self.universe[index as usize], &[index])
+        })
     }
 }
 
@@ -1637,7 +1913,8 @@ mod tests {
                 class_universe(&g, FaultClass::StuckAt, &UniverseSpec::default());
             assert_eq!(universe.len() as u64, words * 2);
             let plan = UniversePlan::new(g, universe);
-            assert!(plan.builds.is_empty() && plan.sliced.is_empty());
+            assert!(plan.ranked.is_empty() && plan.decoders.is_empty());
+            assert!(plan.sliced.is_empty());
             let batch_count: usize =
                 plan.groups.iter().map(|group| group.slots.len()).sum();
             assert_eq!(batch_count, expect_batches, "{words} words");
@@ -1807,6 +2084,44 @@ mod tests {
         total
     }
 
+    /// The plan's flags on `trace` — which may be support-restricted — run
+    /// as [`UniversePlan::count_detected`] runs it, uncapped; `None` when
+    /// the plan declines the trace.
+    fn plan_flags(
+        plan: &UniversePlan,
+        trace: SupportTrace<'_>,
+        scratch: &mut PlanScratch,
+    ) -> Option<Vec<bool>> {
+        let path = plan.path(&trace)?;
+        let never = CancelToken::none();
+        let flags = Some(vec![false; plan.universe.len()]);
+        let mut verdicts = Verdicts { count: 0, stop: usize::MAX, flags, cancel: &never };
+        plan.run(trace.trace, path, scratch, &mut verdicts);
+        verdicts.flags
+    }
+
+    /// The plan's flags and counts, capped and uncapped, on the arena's
+    /// support-restricted compile of `test` must equal `oracle`'s.
+    fn assert_restricted_matches(
+        plan: &UniversePlan,
+        (test, opts): (&crate::MarchTest, &ExpandOptions),
+        arena: &mut crate::trace::TraceArena,
+        oracle: &[bool],
+        what: &str,
+    ) {
+        let mut scratch = PlanScratch::default();
+        let part = arena.compile_support(test, &plan.geometry, opts, plan);
+        let flags = plan_flags(plan, part, &mut scratch);
+        assert_eq!(flags.as_deref(), Some(oracle), "{what}: support-restricted flags");
+        let total = oracle.iter().filter(|&&d| d).count();
+        for cap in caps(total) {
+            let want = Some(cap.map_or(total, |c| total.min(c)));
+            let part = arena.compile_support(test, &plan.geometry, opts, plan);
+            let part = plan.count_detected(part, cap, &mut scratch);
+            assert_eq!(part, want, "{what}: support-restricted trace, cap {cap:?}");
+        }
+    }
+
     /// The plan of `universe` against `test` must take the uniform path and
     /// match the full-replay oracle, capped and uncapped, on a complete
     /// trace and on the arena's support-restricted compile.
@@ -1816,21 +2131,15 @@ mod tests {
         test: &crate::MarchTest,
         what: &str,
     ) {
-        use crate::trace::TraceArena;
         let opts = ExpandOptions::for_geometry(&g);
         let plan = UniversePlan::new(g, universe);
         let trace = CompiledTrace::compile(test, &g, &opts);
         let path = plan.path(&(&trace).into());
         assert_eq!(path, Some(Path::Uniform), "{what}: certificate must hold");
-        let total = assert_complete_matches(&plan, &trace, what);
-        let mut arena = TraceArena::new();
-        let mut scratch = PlanScratch::default();
-        for cap in caps(total) {
-            let want = Some(cap.map_or(total, |c| total.min(c)));
-            let part = arena.compile_support(test, &g, &opts, &plan);
-            let part = plan.count_detected(part, cap, &mut scratch);
-            assert_eq!(part, want, "{what}: support-restricted trace, cap {cap:?}");
-        }
+        assert_complete_matches(&plan, &trace, what);
+        let oracle = plan.detect(&trace, &mut PlanScratch::default(), &CancelToken::none());
+        let mut arena = crate::trace::TraceArena::new();
+        assert_restricted_matches(&plan, (test, &opts), &mut arena, &oracle, what);
     }
 
     /// Decay schedules a default universe does not reach: pull-open faults
@@ -1858,9 +2167,9 @@ mod tests {
     #[test]
     fn universe_plan_matches_engine_counts_exactly() {
         use mbist_mem::subset_universe;
-        // Every class, so every plan path — route groups, per-fault builds
-        // and the sliced replay (decoder faults, and an overlapping NPSF
-        // where the width allows) — across bit- and word-oriented and
+        // Every class, so every plan route — route groups, rank groups,
+        // verdict groups and the sliced replay (an overlapping NPSF where
+        // the width allows) — across bit- and word-oriented and
         // two-port geometries, plus the decay schedules above. March C+ and
         // C++ add the pauses and triple reads that drive retention
         // deadlines, pull-open drains and stuck-open self-latches.
@@ -1939,8 +2248,8 @@ mod tests {
         }
         // A support-restricted compile outside the certificate is refused
         // (the general path may read any word); the same test compiled
-        // complete is counted. A dirty march, then a real march on two
-        // words.
+        // complete is counted. A dirty march, a fractional pause against
+        // planned retention faults, then a real march on two words.
         let dirty = crate::MarchTest::new(
             "dirty",
             vec![MarchItem::Element(MarchElement::new(
@@ -1948,14 +2257,25 @@ mod tests {
                 vec![MarchOp::Read(true), MarchOp::Write(true)],
             ))],
         );
+        assert!(!plan.ranked.is_empty());
+        let fractional = crate::MarchTest::new(
+            "fractional",
+            vec![
+                MarchElement::new(AddressOrder::Up, vec![MarchOp::Write(false)]).into(),
+                MarchItem::Pause { ns: 0.5 },
+                MarchElement::new(AddressOrder::Down, vec![MarchOp::Read(false)]).into(),
+            ],
+        );
         let g2 = MemGeometry::bit_oriented(2);
         let plan2 =
             UniversePlan::new(g2, subset_universe(&g2, &FaultClass::ALL, &spec, 64));
         let mut arena = TraceArena::new();
         let mut scratch = PlanScratch::default();
-        for (plan, test, what) in
-            [(&plan, &dirty, "dirty march"), (&plan2, &library::march_c(), "two words")]
-        {
+        for (plan, test, what) in [
+            (&plan, &dirty, "dirty march"),
+            (&plan, &fractional, "fractional pause"),
+            (&plan2, &library::march_c(), "two words"),
+        ] {
             let opts = ExpandOptions::for_geometry(&plan.geometry);
             let part = arena.compile_support(test, &plan.geometry, &opts, plan);
             assert_eq!(plan.count_detected(part, None, &mut scratch), None, "{what}");
@@ -1975,8 +2295,10 @@ mod tests {
 
     #[test]
     fn universe_plan_groups_stay_small_on_reference_config() {
-        // The whole point: a 256-word 5-class universe collapses to a
-        // handful of groups, so per-candidate routing work vanishes.
+        // The whole point: a 256-word universe collapses to a handful of
+        // keys, so per-candidate work follows the distinct programs, not
+        // the faults or the words.
+        use crate::trace::TraceArena;
         use mbist_mem::subset_universe;
         let g = MemGeometry::bit_oriented(256);
         let classes = [
@@ -1989,7 +2311,7 @@ mod tests {
         let universe = subset_universe(&g, &classes, &UniverseSpec::default(), 256);
         let plan = UniversePlan::new(g, universe);
         assert!(
-            plan.builds.is_empty() && plan.sliced.is_empty(),
+            plan.ranked.is_empty() && plan.decoders.is_empty() && plan.sliced.is_empty(),
             "all five classes are plan-routable"
         );
         assert!(
@@ -1998,36 +2320,180 @@ mod tests {
             plan.groups.len(),
             plan.universe.len()
         );
-        // The search benchmark's nine-class universe: only decoder faults
-        // take the sliced replay, and every pull-open fault sits in a route
-        // group, so per candidate only the stuck-open and retention faults
-        // build per fault.
+        // The search benchmark's nine-class universe: every fault sits in a
+        // route, rank or verdict group, so the uniform path builds no
+        // program and runs no replay per fault.
         let universe =
             subset_universe(&g, &FaultClass::ALL[..9], &UniverseSpec::default(), 256);
         let plan = UniversePlan::new(g, &universe);
-        assert!(!plan.sliced.is_empty());
-        assert!(
-            plan.sliced
-                .iter()
-                .all(|&i| universe[i as usize].class() == FaultClass::AddressDecoder),
-            "only decoder faults lack a lane form"
+        assert!(plan.sliced.is_empty(), "no fault replays on its own");
+        let lanes: usize =
+            plan.groups.iter().flat_map(|group| &group.slots).map(|s| s.masks.lanes).sum();
+        let ranked: usize = plan.ranked.iter().map(|group| group.faults.len()).sum();
+        let decoders: usize = plan.decoders.iter().map(|group| group.faults.len()).sum();
+        assert_eq!(
+            lanes + ranked + decoders,
+            universe.len(),
+            "every fault sits in a group"
         );
-        let is_pull_open =
-            |spec: &LaneSpec| matches!(spec.decay, Some(DecayRule::PullOpen { .. }));
-        let grouped: usize = plan
+        let count = |class| universe.iter().filter(|f| f.class() == class).count();
+        assert_eq!(ranked, count(FaultClass::Retention), "retention groups by rank");
+        assert_eq!(
+            decoders,
+            count(FaultClass::AddressDecoder),
+            "decoders group by verdict"
+        );
+        assert!(
+            plan.decoders.len() <= 4,
+            "{} decoder replays per candidate",
+            plan.decoders.len()
+        );
+        let stuck_open = plan
             .groups
             .iter()
-            .filter(|group| is_pull_open(&group.rep))
-            .flat_map(|group| &group.slots)
-            .map(|slot| slot.masks.lanes)
-            .sum();
-        let pull_open =
-            universe.iter().filter(|f| f.class() == FaultClass::PullOpen).count();
-        assert!(pull_open > 0);
-        assert_eq!(grouped, pull_open, "every pull-open fault sits in a group");
+            .filter(|group| group.rep.class == LaneClass::StuckOpen)
+            .count();
+        assert!(stuck_open <= 3, "{stuck_open} stuck-open programs for one bit");
         assert!(
-            plan.builds.iter().all(|(spec, _, _)| !is_pull_open(spec)),
-            "no pull-open fault builds per fault"
+            plan.support().len() <= 16,
+            "support of {} words: {:?}",
+            plan.support().len(),
+            plan.support()
+        );
+        // Per candidate: one retention interval per deadline at 256 words,
+        // pauses or not, and the counts stay exact on the restricted
+        // compile.
+        let mut arena = TraceArena::new();
+        let mut scratch = PlanScratch::default();
+        for test in [library::march_c(), library::march_c_plus()] {
+            let opts = ExpandOptions::for_geometry(&g);
+            let part = arena.compile_support(&test, &g, &opts, &plan);
+            let count = plan.count_detected(part, None, &mut scratch);
+            let complete = CompiledTrace::compile(&test, &g, &opts);
+            assert_eq!(count, plan.count_detected((&complete).into(), None, &mut scratch));
+            assert_eq!(scratch.intervals.len(), 1, "{}", test.name());
+        }
+    }
+
+    /// A random march on `g` for the keyed routes: ⇑/⇓/⇕ elements whose
+    /// reads expect the stored value (so the uniform path applies), with
+    /// pauses — fractional ones included — between elements. One case in
+    /// eight misreads now and then, for the general path.
+    fn random_timed_march(rng: &mut mbist_mem::rng::SplitMix64) -> crate::MarchTest {
+        use crate::element::{AddressOrder, MarchElement, MarchItem};
+        use crate::op::MarchOp;
+        let mut pick = |n: u64| rng.next_u64() % n;
+        let dirty = pick(8) == 0;
+        let mut value = false;
+        let mut items: Vec<MarchItem> = Vec::new();
+        for _ in 0..=pick(5) {
+            if pick(3) == 0 {
+                let ns =
+                    [0.0, 10.0, 50.0, 100.0, 1e3, 5e3, 0.1, 1.0 / 3.0][pick(8) as usize];
+                items.push(MarchItem::Pause { ns });
+            }
+            let order = [AddressOrder::Up, AddressOrder::Down, AddressOrder::Any];
+            let mut ops = Vec::new();
+            for _ in 0..=pick(3) {
+                if pick(2) == 0 {
+                    value = pick(2) == 1;
+                    ops.push(MarchOp::Write(value));
+                } else {
+                    ops.push(MarchOp::Read(value ^ (dirty && pick(4) == 0)));
+                }
+            }
+            items.push(MarchElement::new(order[pick(3) as usize], ops).into());
+        }
+        crate::MarchTest::new("timed", items)
+    }
+
+    #[test]
+    fn keyed_routes_match_full_replay_on_random_timed_marches() {
+        // The keyed routes' correctness argument, in release mode too: on
+        // random pause-bearing marches (3–40 words, 1–3 ports), the plan's
+        // flags and counts, capped and uncapped, on complete and support-
+        // restricted compiles, equal full replay for stuck-open faults at
+        // every edge, retention faults whose deadlines straddle the
+        // trace's own gaps, decoder faults in both word orders, and
+        // pull-open faults. A restricted compile is declined exactly when
+        // the complete one takes the general path.
+        use crate::trace::TraceArena;
+        let mut rng = mbist_mem::rng::SplitMix64::new(0x5eed);
+        let mut arena = TraceArena::new();
+        let mut scratch = PlanScratch::default();
+        let mut uniform = 0;
+        let cases = 120;
+        for case in 0..cases {
+            let mut pick = |n: u64| rng.next_u64() % n;
+            let g = MemGeometry::new(3 + pick(38), 1 + pick(2) as u8, 1 + pick(3) as u8);
+            let opts = if pick(2) == 0 {
+                ExpandOptions::for_geometry(&g)
+            } else {
+                ExpandOptions::minimal(&g)
+            };
+            let test = random_timed_march(&mut rng);
+            let trace = CompiledTrace::compile(&test, &g, &opts);
+            // Deadlines at, just under and just over a gap the trace
+            // really has: between two accesses of one word.
+            let ops = trace.ops_for_word(rng.next_u64() % g.words());
+            let mut deadlines = vec![UniverseSpec::default().retention_ns];
+            for _ in 0..2 {
+                let (i, j) = (
+                    rng.next_u64() as usize % ops.len(),
+                    rng.next_u64() as usize % ops.len(),
+                );
+                let gap = (ops[i].now_ns - ops[j].now_ns).abs();
+                deadlines.push([gap, gap - 10.0, gap + 0.5][rng.next_u64() as usize % 3]);
+            }
+            let mut universe = Vec::new();
+            for class in
+                [FaultClass::StuckOpen, FaultClass::AddressDecoder, FaultClass::PullOpen]
+            {
+                universe.extend(class_universe(&g, class, &UniverseSpec::default()));
+            }
+            // Generated multi-access faults all have the lower word first;
+            // mirror them, so both word orders of the wired pair occur.
+            let mirrored: Vec<FaultKind> = universe
+                .iter()
+                .filter_map(|&f| match f {
+                    FaultKind::AddressMulti { addr, extra, wired_and } => {
+                        Some(FaultKind::AddressMulti {
+                            addr: extra,
+                            extra: addr,
+                            wired_and,
+                        })
+                    }
+                    _ => None,
+                })
+                .collect();
+            universe.extend(mirrored);
+            for retention_ns in deadlines {
+                let spec = UniverseSpec { retention_ns, ..UniverseSpec::default() };
+                universe.extend(class_universe(&g, FaultClass::Retention, &spec));
+            }
+            let what = format!("case {case}: {test} on {g}, {opts:?}");
+            let plan = UniversePlan::new(g, &universe);
+            let path = plan.path(&(&trace).into());
+            uniform += usize::from(path == Some(Path::Uniform));
+            assert_complete_matches(&plan, &trace, &what);
+            if path == Some(Path::Uniform) {
+                let oracle = plan.detect(&trace, &mut scratch, &CancelToken::none());
+                assert_restricted_matches(
+                    &plan,
+                    (&test, &opts),
+                    &mut arena,
+                    &oracle,
+                    &what,
+                );
+            } else {
+                let part = arena.compile_support(&test, &g, &opts, &plan);
+                let got = plan.count_detected(part, None, &mut scratch);
+                assert_eq!(got, None, "{what}: restricted outside the certificate");
+            }
+        }
+        assert!(
+            uniform * 2 > cases && uniform < cases,
+            "{uniform} of {cases} cases took the uniform path: both paths must be exercised"
         );
     }
 }

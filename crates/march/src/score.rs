@@ -4,18 +4,20 @@
 //! fixed fault universe — the transpose of the coverage workload
 //! ([`crate::fanout`]), which scores one test against many faults. This
 //! module owns the per-candidate hot path and fans *candidates* across
-//! workers:
+//! workers, the calling thread scoring the first chunk itself:
 //!
 //! - each worker keeps a [`TraceArena`] (recompilation into reused
 //!   buffers, with element-prefix reuse) and simulation scratch;
 //! - the packed engine scores through a [`UniversePlan`]
-//!   (`crate::packed`): the universe's batch grouping is precomputed once
-//!   and replayed per candidate, so per-candidate work scales with the
-//!   number of distinct access programs, not the number of faults, and
-//!   candidates compile only the plan's support words, with no step
-//!   stream. A candidate the plan declines (golden miscompares, or too
-//!   few words for its certificate) is recompiled complete and counted by
-//!   the same plan's general path;
+//!   (`crate::packed`): every fault's route, rank or verdict group is
+//!   fixed once, so per-candidate simulation scales with the number of
+//!   distinct access programs, not the number of faults, and candidates
+//!   compile only the few support words the groups' representatives
+//!   read, jumping the rest of each element in O(1), so compilation does
+//!   not scale with the word count either. A candidate the plan declines
+//!   (golden miscompares, too few words for its certificate, or a
+//!   fractional pause against retention faults) is recompiled complete
+//!   and counted by the same plan's general path;
 //! - scoring stops early once `stop_after` detections are decided (the
 //!   lexicographic fitness only compares `min(detected, target)`).
 //!
@@ -163,8 +165,10 @@ impl CandidateBatchScorer {
         )
     }
 
-    /// Scores a whole batch, fanning candidates across `jobs` workers, and
-    /// returns one slot per candidate **in batch order**.
+    /// Scores a whole batch, fanning candidates across `jobs` workers (the
+    /// calling thread scores the first chunk and spawns one thread per
+    /// other chunk), and returns one slot per candidate **in batch
+    /// order**.
     ///
     /// Internally candidates are processed in a sorted order that puts
     /// structurally similar candidates next to each other, so sibling
@@ -200,13 +204,13 @@ impl CandidateBatchScorer {
         self.ensure_workers(workers);
         let Self { geometry, expand, oracle, workers: pool } = self;
         let (geometry, expand, oracle) = (&*geometry, &*expand, &*oracle);
-        if workers == 1 {
-            let worker = &mut pool[0];
-            for &idx in &order {
+        let score_chunk = |indices: &[usize], worker: &mut EvalWorker| {
+            let mut scored: Vec<Option<usize>> = vec![None; indices.len()];
+            for (&idx, slot) in indices.iter().zip(&mut scored) {
                 if cancel.is_cancelled() {
                     break;
                 }
-                results[idx] = Some(score_candidate(
+                *slot = Some(score_candidate(
                     &tests[idx],
                     geometry,
                     expand,
@@ -215,36 +219,23 @@ impl CandidateBatchScorer {
                     worker,
                 ));
             }
-            return results;
-        }
-        let chunk = tests.len().div_ceil(workers);
+            scored
+        };
+        // The first chunk runs on the calling thread; only the others
+        // spawn.
+        let mut chunks = order.chunks(tests.len().div_ceil(workers)).zip(pool.iter_mut());
+        let (first, worker) = chunks.next().expect("a non-empty batch has a chunk");
         std::thread::scope(|scope| {
-            let handles: Vec<_> = order
-                .chunks(chunk)
-                .zip(pool.iter_mut())
+            let spawned: Vec<_> = chunks
                 .map(|(indices, worker)| {
-                    let handle = scope.spawn(move || {
-                        let mut scored: Vec<Option<usize>> = vec![None; indices.len()];
-                        for (&idx, slot) in indices.iter().zip(&mut scored) {
-                            if cancel.is_cancelled() {
-                                break;
-                            }
-                            *slot = Some(score_candidate(
-                                &tests[idx],
-                                geometry,
-                                expand,
-                                oracle,
-                                stop_after,
-                                worker,
-                            ));
-                        }
-                        scored
-                    });
-                    (indices, handle)
+                    (indices, scope.spawn(move || score_chunk(indices, worker)))
                 })
                 .collect();
-            for (indices, handle) in handles {
-                let scored = handle.join().expect("scoring worker panicked");
+            let inline = (first, score_chunk(first, worker));
+            let joined = spawned.into_iter().map(|(indices, handle)| {
+                (indices, handle.join().expect("scoring worker panicked"))
+            });
+            for (indices, scored) in std::iter::once(inline).chain(joined) {
                 for (&idx, score) in indices.iter().zip(scored) {
                     results[idx] = score;
                 }

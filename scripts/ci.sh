@@ -6,6 +6,12 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every file a run writes goes into one fresh directory under target/,
+# removed on exit, so concurrent runs never share a path.
+mkdir -p target
+ci_tmp=$(mktemp -d "$PWD/target/ci.XXXXXX")
+trap 'rm -rf "$ci_tmp"' EXIT
+
 echo "==> formatting"
 cargo fmt --all --check
 
@@ -36,7 +42,7 @@ cargo clippy --workspace --all-features --all-targets -- -D warnings
 
 echo "==> coverage-engine perf smoke (std-only harness)"
 perf_out=$(cargo run --release -p mbist-bench --bin perf -- \
-    --quick --out /tmp/BENCH_coverage_ci.json)
+    --quick --out "$ci_tmp/BENCH_coverage_ci.json")
 echo "$perf_out"
 # every (test, geometry) pair must report cross-mode agreement on the
 # detection count across both modes (the full-replay oracle and the packed
@@ -59,7 +65,7 @@ awk -v r="$packed_ratio" 'BEGIN { exit (r >= 10.0) ? 0 : 1 }' || {
 
 echo "==> search-synthesis smoke (fixed seed: converges, no longer than march-c)"
 synth_out=$(cargo run --release -p mbist-bench --bin synthsearch -- \
-    --quick --out /tmp/BENCH_synth_ci.json)
+    --quick --out "$ci_tmp/BENCH_synth_ci.json")
 echo "$synth_out"
 # both strategies must converge at 100% with a test no longer than the
 # handwritten march-c on the same sampled universe
@@ -79,10 +85,10 @@ awk -v r="$batched_ratio" 'BEGIN { exit (r >= 4.0) ? 0 : 1 }' || {
 # them wholesale before comparing
 strip_timing='s/"timing": \{[^}]*\}/"timing": null/g'
 cargo run -q --release -p mbist-bench --bin synthsearch -- \
-    --quick --out /tmp/BENCH_synth_ci2.json > /dev/null
-sed -E "$strip_timing" /tmp/BENCH_synth_ci.json > /tmp/BENCH_synth_ci.stable
-sed -E "$strip_timing" /tmp/BENCH_synth_ci2.json > /tmp/BENCH_synth_ci2.stable
-diff /tmp/BENCH_synth_ci.stable /tmp/BENCH_synth_ci2.stable > /dev/null || {
+    --quick --out "$ci_tmp/BENCH_synth_ci2.json" > /dev/null
+sed -E "$strip_timing" "$ci_tmp/BENCH_synth_ci.json" > "$ci_tmp/BENCH_synth_ci.stable"
+sed -E "$strip_timing" "$ci_tmp/BENCH_synth_ci2.json" > "$ci_tmp/BENCH_synth_ci2.stable"
+diff "$ci_tmp/BENCH_synth_ci.stable" "$ci_tmp/BENCH_synth_ci2.stable" > /dev/null || {
     echo "search re-run with the same seed diverged"; exit 1; }
 # ...and the CLI front-end honors the same determinism across --jobs
 # (batched speculation joins in candidate order) and across engines
@@ -113,9 +119,9 @@ mp_full=$(cargo run -q --release -p mbist-cli -- synth-search \
     echo "multi-pass synth-search output differs between packed and full engines"
     exit 1; }
 # ...and on a nine-class universe whose stuck-open, retention, pull-open
-# and decoder faults take the packed plan's per-fault builds, pull-open
-# route groups and sliced replay, in a bit-oriented and a word-oriented
-# two-port configuration
+# and decoder faults take the packed plan's stuck-open and pull-open route
+# groups, retention rank groups and decoder verdict groups, in a
+# bit-oriented and a word-oriented two-port configuration
 nine=saf,tf,cfin,cfid,cfst,af,sof,drf,puf
 for cfg in "--words 32 --budget 150 --seed 5" \
     "--words 8 --width 4 --ports 2 --budget 80 --seed 3"; do
@@ -131,6 +137,21 @@ for cfg in "--words 32 --budget 150 --seed 5" \
     [ "$nine_a" = "$nine_full" ] || {
         echo "nine-class synth-search ($cfg) differs between packed and full engines"
         exit 1; }
+done
+
+echo "==> coverage reports: packed vs full where the keyed routes have edges"
+# 3 and 5 words put every stuck-open edge word and every decoder word order
+# in the universe, 16x4 two-port adds per-port sense latches, and 1024
+# words makes retention verdicts change with address rank
+for t in march-c march-c+ mats+ march-a++ march-b; do
+    for cfg in "--words 3 --max-faults 0" "--words 5 --max-faults 0" \
+        "--words 16 --width 4 --ports 2 --max-faults 0" "--words 1024"; do
+        # $cfg is left unquoted on purpose: it splits into flags
+        cov_packed=$(cargo run -q --release -p mbist-cli -- coverage "$t" $cfg)
+        cov_full=$(cargo run -q --release -p mbist-cli -- coverage "$t" $cfg --engine full)
+        [ "$cov_packed" = "$cov_full" ] || {
+            echo "coverage $t ($cfg) differs between packed and full engines"; exit 1; }
+    done
 done
 
 echo "==> benchmark output checks (BENCHMARK.json command, 1 s per workload)"
@@ -167,10 +188,10 @@ else
 fi
 
 echo "==> robustness sweep smoke (std-only harness)"
-cargo run --release -p mbist-bench --bin robustness -- --quick --out /tmp/BENCH_robustness_ci.json
+cargo run --release -p mbist-bench --bin robustness -- --quick --out "$ci_tmp/BENCH_robustness_ci.json"
 
 echo "==> service smoke (daemon on an ephemeral port + loadgen burst)"
-svc_log=/tmp/mbist_service_ci.log
+svc_log="$ci_tmp/mbist_service_ci.log"
 cargo run -q --release -p mbist-cli -- serve --addr 127.0.0.1:0 --workers 2 \
     > "$svc_log" 2>&1 &
 svc_pid=$!
@@ -182,7 +203,7 @@ until grep -q "listening on" "$svc_log"; do
 done
 addr=$(sed -n 's/^mbist-service listening on \([0-9.:]*\) .*/\1/p' "$svc_log")
 svc_out=$(cargo run -q --release -p mbist-bench --bin loadgen -- \
-    --quick --addr "$addr" --shutdown --out /tmp/BENCH_service_ci.json)
+    --quick --addr "$addr" --shutdown --out "$ci_tmp/BENCH_service_ci.json")
 echo "$svc_out"
 # the daemon's responses must be byte-identical to the offline CLI
 [ "$(echo "$svc_out" | grep -c "agreement OK")" -eq 3 ] || {
@@ -193,7 +214,7 @@ grep -q "drained" "$svc_log" || {
     echo "daemon did not report a clean drain"; cat "$svc_log"; exit 1; }
 
 echo "==> sharded service smoke (router + 2 shards, both protocols)"
-shard_log=/tmp/mbist_sharded_ci.log
+shard_log="$ci_tmp/mbist_sharded_ci.log"
 cargo run -q --release -p mbist-cli -- serve --addr 127.0.0.1:0 --shards 2 --workers 1 \
     > "$shard_log" 2>&1 &
 shard_pid=$!
@@ -206,14 +227,14 @@ done
 shard_addr=$(sed -n 's/^mbist-service listening on \([0-9.:]*\) .*/\1/p' "$shard_log")
 # line-JSON pass first (no shutdown: the binary pass reuses the fleet)...
 shard_json_out=$(cargo run -q --release -p mbist-bench --bin loadgen -- \
-    --quick --addr "$shard_addr" --out /tmp/BENCH_sharded_json_ci.json)
+    --quick --addr "$shard_addr" --out "$ci_tmp/BENCH_sharded_json_ci.json")
 echo "$shard_json_out"
 [ "$(echo "$shard_json_out" | grep -c "agreement OK")" -eq 3 ] || {
     echo "sharded smoke (json) missing agreement lines"; exit 1; }
 # ...then the binary protocol over the same router, which drains the fleet
 shard_bin_out=$(cargo run -q --release -p mbist-bench --bin loadgen -- \
     --quick --addr "$shard_addr" --protocol binary --shutdown \
-    --out /tmp/BENCH_sharded_binary_ci.json)
+    --out "$ci_tmp/BENCH_sharded_binary_ci.json")
 echo "$shard_bin_out"
 [ "$(echo "$shard_bin_out" | grep -c "agreement OK")" -eq 3 ] || {
     echo "sharded smoke (binary) missing agreement lines"; exit 1; }
@@ -224,7 +245,7 @@ grep -q "^router: forwarded" "$shard_log" || {
     echo "sharded fleet missing the router summary"; cat "$shard_log"; exit 1; }
 
 echo "==> chaos smoke (fault-injecting daemon + resilient loadgen)"
-chaos_log=/tmp/mbist_chaos_ci.log
+chaos_log="$ci_tmp/mbist_chaos_ci.log"
 cargo run -q --release -p mbist-cli -- serve --addr 127.0.0.1:0 --workers 2 \
     --chaos seed=7,panic=0.05,delay=0.05,drop=0.02 > "$chaos_log" 2>&1 &
 chaos_pid=$!
@@ -238,7 +259,7 @@ grep -q "chaos injection armed" "$chaos_log" || {
     echo "chaos daemon did not arm injection"; cat "$chaos_log"; exit 1; }
 chaos_addr=$(sed -n 's/^mbist-service listening on \([0-9.:]*\) .*/\1/p' "$chaos_log")
 chaos_out=$(cargo run -q --release -p mbist-bench --bin loadgen -- \
-    --quick --chaos --addr "$chaos_addr" --shutdown --out /tmp/BENCH_chaos_ci.json)
+    --quick --chaos --addr "$chaos_addr" --shutdown --out "$ci_tmp/BENCH_chaos_ci.json")
 echo "$chaos_out"
 # under injected faults the retrying client must still see >= 0.99
 # availability...
