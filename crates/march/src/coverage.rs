@@ -10,8 +10,9 @@ use mbist_mem::{
 use crate::cancel::CancelToken;
 use crate::expand::ExpandOptions;
 use crate::fanout::detect_universe_trace;
+use crate::packed::{PlanScratch, UniversePlan};
 use crate::test::MarchTest;
-use crate::trace::{CompiledTrace, SimEngine};
+use crate::trace::{CompiledTrace, SimEngine, TraceArena};
 
 /// Coverage of one fault class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,13 +138,20 @@ impl fmt::Display for CoverageReport {
 /// Evaluates the fault coverage of `test` on `geometry` by serial fault
 /// simulation: detected iff any checked read miscompares.
 ///
-/// The step stream is expanded and compiled into a [`CompiledTrace`] once
-/// for all classes; faults are then simulated in 256-lane batches, one
-/// trace replay per batch on the calling thread ([`SimEngine::Packed`],
-/// the default), or one by one over the whole stream on per-worker
-/// scratch arrays fanned out across [`CoverageOptions::jobs`] threads
-/// ([`SimEngine::Full`]) with a deterministic in-order reduction, so the
-/// report depends on neither the worker count nor the engine.
+/// With [`SimEngine::Packed`], the default, every requested class's
+/// universe is generated and planned before anything is compiled; `test`
+/// is then compiled once, restricted to the union of the plans' support
+/// words (at most six on a generated universe), and each class is counted
+/// on that trace in 256-lane batches on the calling thread. When a plan
+/// declines the restricted trace (a dirty march, fewer than three words,
+/// or a fractional pause against retention faults), `test` is compiled
+/// complete instead, as the search scorer does. So a packed run costs what
+/// it simulates, not what the memory holds. With [`SimEngine::Full`], the
+/// oracle, `test` is compiled complete and faults replay one by one over
+/// the whole stream on per-worker scratch arrays fanned out across
+/// [`CoverageOptions::jobs`] threads, with a deterministic in-order
+/// reduction. The report depends on neither the worker count nor the
+/// engine.
 ///
 /// # Examples
 ///
@@ -170,8 +178,45 @@ pub fn evaluate_coverage(
 ) -> CoverageReport {
     let expand_opts =
         options.expand.clone().unwrap_or_else(|| ExpandOptions::for_geometry(geometry));
-    let trace = CompiledTrace::compile(test, geometry, &expand_opts);
-    evaluate_coverage_trace(&trace, test.name(), options)
+    if options.engine == SimEngine::Full {
+        let trace = CompiledTrace::compile(test, geometry, &expand_opts);
+        return evaluate_coverage_trace(&trace, test.name(), options);
+    }
+    let plans: Vec<UniversePlan> = options
+        .classes
+        .iter()
+        .map(|&class| UniversePlan::new(*geometry, class_faults(geometry, class, options)))
+        .collect();
+    let mut arena = TraceArena::new();
+    let trace = arena.compile_for(test, geometry, &expand_opts, &plans);
+    let mut scratch = PlanScratch::default();
+    let mut rows = Vec::new();
+    for (&class, plan) in options.classes.iter().zip(&plans) {
+        if options.cancel.is_cancelled() {
+            break;
+        }
+        let detected = plan
+            .count_detected(trace, None, &mut scratch, &options.cancel)
+            .expect("every plan accepts the trace compiled for it");
+        rows.push(ClassCoverage { class, detected, total: plan.universe().len() });
+    }
+    CoverageReport { test: test.name().to_string(), geometry: *geometry, rows }
+}
+
+/// The faults `options` simulates for `class`: the class universe, stride
+/// sampled to the cap. Sampled generation materializes only the
+/// stride-kept faults — identical to `stride_sample(class_universe(..),
+/// max)`, but the NPSF/decoder universes on kiloword geometries would
+/// otherwise cost more to enumerate than to simulate.
+fn class_faults(
+    geometry: &MemGeometry,
+    class: FaultClass,
+    options: &CoverageOptions,
+) -> Vec<FaultKind> {
+    match options.max_faults_per_class {
+        Some(max) => class_universe_sampled(geometry, class, &options.spec, max),
+        None => class_universe(geometry, class, &options.spec),
+    }
 }
 
 /// [`evaluate_coverage`] over a caller-supplied [`CompiledTrace`] — the
@@ -192,14 +237,7 @@ pub fn evaluate_coverage_trace(
         if options.cancel.is_cancelled() {
             break;
         }
-        // Sampled generation materializes only the stride-kept faults —
-        // identical to `stride_sample(class_universe(..), max)`, but the
-        // NPSF/decoder universes on kiloword geometries would otherwise
-        // cost more to enumerate than to simulate.
-        let universe = match options.max_faults_per_class {
-            Some(max) => class_universe_sampled(&geometry, class, &options.spec, max),
-            None => class_universe(&geometry, class, &options.spec),
-        };
+        let universe = class_faults(&geometry, class, options);
         let total = universe.len();
         let flags = detect_universe_trace(
             trace,
@@ -327,10 +365,7 @@ pub fn routing_breakdown(
 ) -> RoutingBreakdown {
     let mut rows = Vec::new();
     for &class in &options.classes {
-        let universe = match options.max_faults_per_class {
-            Some(max) => class_universe_sampled(geometry, class, &options.spec, max),
-            None => class_universe(geometry, class, &options.spec),
-        };
+        let universe = class_faults(geometry, class, options);
         let mut row = RoutingRow { class, packed: 0, sliced: 0, full: 0 };
         for &fault in &universe {
             match fault_route(options.engine, fault) {
@@ -557,6 +592,35 @@ mod tests {
             );
             assert_eq!(full, packed, "{} report must not depend on engine", test.name());
         }
+    }
+
+    #[test]
+    fn coverage_honours_the_token_between_classes_and_per_batch() {
+        let g = MemGeometry::bit_oriented(256);
+        let march_c = library::march_c();
+        for engine in SimEngine::ALL {
+            // Tripped before the first class: no row.
+            let cancel = CancelToken::manual();
+            cancel.cancel();
+            let options = CoverageOptions { engine, cancel, ..CoverageOptions::default() };
+            assert!(
+                evaluate_coverage(&march_c, &g, &options).rows.is_empty(),
+                "{engine:?}"
+            );
+        }
+        // Packed: the token passes the check before the class, then trips
+        // at the first poll inside the count, after the first of the
+        // class's two 256-lane batches.
+        let cancel = CancelToken::after_checks(1);
+        let options = CoverageOptions {
+            classes: vec![FaultClass::StuckAt],
+            max_faults_per_class: None,
+            cancel: cancel.clone(),
+            ..CoverageOptions::default()
+        };
+        let row = evaluate_coverage(&march_c, &g, &options).rows[0];
+        assert!(cancel.is_cancelled());
+        assert_eq!((row.detected, row.total), (256, 512), "a partial count");
     }
 
     #[test]

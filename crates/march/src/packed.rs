@@ -293,7 +293,7 @@ struct LaneSpec {
 /// to the per-fault sliced replay — the exact [`UniversePlan`]
 /// eligibility rule, and the basis of the routing breakdown in
 /// [`crate::coverage`]. Either way the fault reads only its own support
-/// words or decoder word pair ([`mark_replay_words`]).
+/// words or decoder word pair ([`push_replay_words`]).
 pub(crate) fn lane_packable(fault: FaultKind) -> bool {
     lane_spec(fault).is_some()
 }
@@ -399,18 +399,14 @@ fn lane_spec(fault: FaultKind) -> Option<LaneSpec> {
     }
 }
 
-/// Marks in `mask` the words the replay of `fault` reads: the words of its
-/// support cells, or its decoder word pair. Every fault kind has one or
-/// the other, so a [`UniversePlan`] can always declare the words its
+/// Appends to `words` the words the replay of `fault` reads: the words of
+/// its support cells, or its decoder word pair. Every fault kind has one
+/// or the other, so a [`UniversePlan`] can always declare the words its
 /// traces must carry.
-fn mark_replay_words(fault: FaultKind, mask: &mut [bool]) {
-    let mut mark = |word: u64| mask[usize::try_from(word).expect("word fits usize")] = true;
+fn push_replay_words(fault: FaultKind, words: &mut Vec<u64>) {
     match (fault.support(), fault.decoder_words()) {
-        (Some(support), _) => support.cells().iter().for_each(|c| mark(c.word)),
-        (None, Some((a, b))) => {
-            mark(a);
-            mark(b);
-        }
+        (Some(support), _) => words.extend(support.cells().iter().map(|c| c.word)),
+        (None, Some((a, b))) => words.extend([a, b]),
         (None, None) => unreachable!("{fault} has neither support cells nor decoder words"),
     }
 }
@@ -1129,11 +1125,54 @@ fn route_of(spec: &LaneSpec, words: u64) -> Option<RouteKey> {
     }
 }
 
+/// The canonical representative of the route group keyed `key`, given
+/// its member `spec`: the same lane spec moved onto the lowest words,
+/// keeping its bits, its words' relative order and its edge — single-cell,
+/// intra-word and pull-open faults on word 0, inter-word pairs on words 0
+/// and 1 in key order, NPSF cells on words 0–4 by rank, stuck-open faults
+/// on word 0, 1 or `words − 1` by edge. The copy has the same key, so
+/// under the plan's certificate it builds the program every member
+/// shares, and every group's support lies in `{0..=4, words − 1}` whatever
+/// the universe.
+fn relocated(spec: &LaneSpec, key: RouteKey, words: u64) -> LaneSpec {
+    let to = |cell: CellId, word: u64| CellId::new(word, cell.bit);
+    let mut rep = *spec;
+    match key {
+        RouteKey::Plain { shape, .. } => {
+            let (vic, agg) = match shape {
+                0 | 1 => (0, 0),
+                2 => (0, 1),
+                _ => (1, 0),
+            };
+            rep.vic = to(spec.vic, vic);
+            rep.agg = spec.agg.map(|a| to(a, agg));
+        }
+        RouteKey::Npsf { rank, .. } => {
+            let shape = rep.npsf.as_mut().expect("npsf shape");
+            for (cell, rank) in shape.cells.iter_mut().zip(rank) {
+                *cell = to(*cell, u64::from(rank));
+            }
+            rep.vic = shape.cells[0];
+        }
+        RouteKey::PullOpen { .. } => rep.vic = to(spec.vic, 0),
+        RouteKey::StuckOpen { edge, .. } => {
+            let word = match edge {
+                Edge::Lowest => 0,
+                Edge::Interior => 1,
+                Edge::Highest => words - 1,
+            };
+            rep.vic = to(spec.vic, word);
+        }
+    }
+    rep
+}
+
 /// A route-key group of a [`UniversePlan`]: every member provably shares
 /// one canonical program on any trace under the plan's certificate, so one
 /// representative build serves every slot.
 struct PlanGroup {
-    /// First member in universe order — the build representative.
+    /// The build representative: the first member, [`relocated`] onto the
+    /// lowest words.
     rep: LaneSpec,
     /// The group's batches, with raw (never-flipped) lane masks, re-based
     /// by the group's canonicalization flip at run time.
@@ -1252,13 +1291,16 @@ fn decay_intervals(
 }
 
 /// A decoder fault's verdict key under the certificate: the kind, the
-/// wired polarity, and whether the fault's first word is the lower one.
-/// The two-word decoder replay reads only the pair's op lists, which carry
-/// the same content and merge in an order fixed by which word is lower, so
-/// every fault with one key has one verdict.
+/// wired polarity and, for a multi-access fault, whether its accessed
+/// word is the lower one. The two-word decoder replay reads only the
+/// pair's op lists, which carry the same content and merge in an order
+/// fixed by which word is lower, so every fault with one key has one
+/// verdict. A remap needs no order: every access of either word lands on
+/// the same cell, and the merged op contents are the same in either
+/// order.
 fn decoder_key(fault: FaultKind) -> Option<(bool, bool, bool)> {
     match fault {
-        FaultKind::AddressMap { from, to } => Some((false, false, from < to)),
+        FaultKind::AddressMap { .. } => Some((false, false, false)),
         FaultKind::AddressMulti { addr, extra, wired_and } => {
             Some((true, wired_and, addr < extra))
         }
@@ -1266,8 +1308,19 @@ fn decoder_key(fault: FaultKind) -> Option<(bool, bool, bool)> {
     }
 }
 
+/// The canonical representative of decoder verdict key `key`: the pair on
+/// words 0 and 1, in key order.
+fn decoder_rep((multi, wired_and, lower_first): (bool, bool, bool)) -> FaultKind {
+    let (first, second) = if lower_first || !multi { (0, 1) } else { (1, 0) };
+    if multi {
+        FaultKind::AddressMulti { addr: first, extra: second, wired_and }
+    } else {
+        FaultKind::AddressMap { from: first, to: second }
+    }
+}
+
 /// Decoder faults sharing one verdict key: one sliced replay of the
-/// representative (the first member) decides them all.
+/// representative ([`decoder_rep`]) decides them all.
 struct VerdictGroup {
     rep: FaultKind,
     faults: Vec<u32>,
@@ -1277,10 +1330,11 @@ struct VerdictGroup {
 /// [`CompiledTrace`] (every complete trace converts), or a
 /// support-restricted compile from
 /// [`TraceArena::compile_support`](crate::trace::TraceArena::compile_support),
-/// whose per-word op lists cover only the plan's support words and which
+/// whose per-word op lists cover only the plans' support words and which
 /// carries no step stream. Only [`UniversePlan::count_detected`] accepts
 /// it, and the wrapped trace is private to this module, so no other
 /// engine can read a partial trace.
+#[derive(Clone, Copy)]
 pub(crate) struct SupportTrace<'a> {
     trace: &'a CompiledTrace,
     /// Whether every word's op list is present — the general path may read
@@ -1503,13 +1557,15 @@ enum Path {
 ///     stuck-open fault is a function of the fault alone ([`route_of`]),
 ///     so lane order, per-lane constant masks and batch membership are
 ///     computed once here, and a run costs one program build per group and
-///     one [`run_batch`] per slot.
+///     one [`run_batch`] per slot. Each group's program is built from a
+///     canonical representative on the lowest words ([`relocated`]).
 ///   - *Rank groups.* Retention faults group by bit and deadline, in
 ///     address order ([`RankGroup`]). A run splits the addresses into
 ///     intervals of constant decay verdicts, read off the lowest and
 ///     highest words' times, and builds one program per interval.
-///   - *Verdict groups.* Decoder faults group by kind, wired polarity and
-///     word order ([`decoder_key`]); one sliced replay of a representative
+///   - *Verdict groups.* Decoder faults group by kind, wired polarity and,
+///     for multi-access faults, word order ([`decoder_key`]); one sliced
+///     replay of a representative on words 0 and 1 ([`decoder_rep`])
 ///     decides each group.
 ///   - *Sliced replay.* The other faults with no lane form (hand-made NPSF
 ///     neighborhoods that reuse a word) replay one by one.
@@ -1520,11 +1576,16 @@ enum Path {
 ///   pre-detected when a golden miscompare lands outside its victim word,
 ///   and faults with no lane form take the sliced replay.
 ///
-/// The uniform path reads only the words of its representatives (and the
-/// lowest and highest words, for rank groups), never the step stream, so
-/// search candidates compile only the plan's support set — a handful of
-/// words. Per-lane updates never depend on batch composition, so both
-/// paths return the full replay's verdicts.
+/// The uniform path reads only the support words of each route group's
+/// representative, each verdict group's representative and each sliced
+/// fault, and the lowest and highest words for rank groups
+/// ([`Self::support`]): at most six words on a generated universe, and
+/// never the step stream. So search candidates and coverage runs compile
+/// only those words ([`TraceArena::compile_for`]). Per-lane updates never
+/// depend on batch composition, so both paths return the full replay's
+/// verdicts.
+///
+/// [`TraceArena::compile_for`]: crate::trace::TraceArena::compile_for
 pub(crate) struct UniversePlan<'u> {
     geometry: mbist_mem::MemGeometry,
     /// The planned faults — borrowed by a one-shot run, owned by a search
@@ -1571,7 +1632,8 @@ impl<'u> UniversePlan<'u> {
                 match decoder_key(fault) {
                     Some(key) => {
                         let gi = *by_verdict.entry(key).or_insert_with(|| {
-                            decoders.push(VerdictGroup { rep: fault, faults: Vec::new() });
+                            let rep = decoder_rep(key);
+                            decoders.push(VerdictGroup { rep, faults: Vec::new() });
                             decoders.len() - 1
                         });
                         decoders[gi].faults.push(index);
@@ -1590,7 +1652,8 @@ impl<'u> UniversePlan<'u> {
             let gi = match by_route.entry(key) {
                 Entry::Occupied(e) => *e.get(),
                 Entry::Vacant(e) => {
-                    groups.push(PlanGroup { rep: spec, slots: Vec::new() });
+                    let rep = relocated(&spec, key, geometry.words());
+                    groups.push(PlanGroup { rep, slots: Vec::new() });
                     *e.insert(groups.len() - 1)
                 }
             };
@@ -1630,28 +1693,44 @@ impl<'u> UniversePlan<'u> {
     }
 
     /// The support words, in address order, a restricted [`SupportTrace`]
-    /// for this plan must cover: the support words of each route group's
+    /// for this plan must cover: the words of each route group's canonical
     /// representative (the group's program is built from it alone), the
     /// word pair of each verdict group's representative, the support words
     /// or decoder word pair of each sliced fault, and — with rank groups —
     /// the lowest and highest words, whose times and content every
-    /// interval program is built from. Computed once, on first use —
-    /// one-shot runs never need it.
+    /// interval program is built from. The representatives sit on the
+    /// lowest words ([`relocated`], [`decoder_rep`]), so on a generated
+    /// universe the support is at most `{0..=4, words − 1}`, whatever the
+    /// universe size or word count; only hand-made NPSF faults that reuse a
+    /// word (the sliced ones) add their own. Computed once, on first use —
+    /// one-shot runs on a complete trace never need it.
     pub(crate) fn support(&self) -> &[u64] {
         self.support.get_or_init(|| {
-            let words = usize::try_from(self.geometry.words()).expect("words fit");
-            let mut mask = vec![false; words];
-            let reps = self.groups.iter().map(|group| group.slots[0].faults[0]);
-            let decoders = self.decoders.iter().map(|group| group.faults[0]);
-            for index in reps.chain(decoders).chain(self.sliced.iter().copied()) {
-                mark_replay_words(self.universe[index as usize], &mut mask);
+            let mut words = Vec::new();
+            for group in &self.groups {
+                let rep = &group.rep;
+                words.push(rep.vic.word);
+                words.extend(rep.agg.map(|a| a.word));
+                words.extend(rep.npsf.iter().flat_map(|shape| shape.cells.map(|c| c.word)));
+            }
+            let sliced = self.sliced.iter().map(|&index| self.universe[index as usize]);
+            for fault in self.decoders.iter().map(|group| group.rep).chain(sliced) {
+                push_replay_words(fault, &mut words);
             }
             if !self.ranked.is_empty() {
-                mask[0] = true;
-                mask[words - 1] = true;
+                words.extend([0, self.geometry.words() - 1]);
             }
-            (0..).zip(mask).filter_map(|(word, tracked)| tracked.then_some(word)).collect()
+            words.sort_unstable();
+            words.dedup();
+            words
         })
+    }
+
+    /// Whether a run on `trace` is possible ([`Self::count_detected`]
+    /// returns a count): always for a complete trace of the plan's
+    /// geometry, and for a restricted one when the certificate holds.
+    pub(crate) fn accepts(&self, trace: SupportTrace<'_>) -> bool {
+        self.path(&trace).is_some()
     }
 
     /// The path a run on `trace` takes, or `None` when the plan declines
@@ -1676,21 +1755,23 @@ impl<'u> UniversePlan<'u> {
     /// Counts the universe's detected faults against `trace`, with the cap
     /// rule of [`CompiledTrace::count_detected`]: a reached cap returns
     /// exactly `stop_after`, otherwise the exact total. `None` when the
-    /// plan declines the trace ([`Self::path`]); a complete trace of the
-    /// plan's geometry is always counted.
+    /// plan declines the trace ([`Self::accepts`]); a complete trace of
+    /// the plan's geometry is always counted. A tripped `cancel` (polled
+    /// per batch and group) ends the run early with a partial count, which
+    /// the caller discards after checking the token.
     pub(crate) fn count_detected(
         &self,
         trace: SupportTrace<'_>,
         stop_after: Option<usize>,
         scratch: &mut PlanScratch,
+        cancel: &CancelToken,
     ) -> Option<usize> {
         let path = self.path(&trace)?;
         let stop = stop_after.unwrap_or(usize::MAX);
         if stop == 0 {
             return Some(0);
         }
-        let never = CancelToken::none();
-        let mut verdicts = Verdicts { count: 0, stop, flags: None, cancel: &never };
+        let mut verdicts = Verdicts { count: 0, stop, flags: None, cancel };
         self.run(trace.trace, path, scratch, &mut verdicts);
         Some(verdicts.count.min(stop))
     }
@@ -1780,9 +1861,14 @@ mod tests {
     use crate::expand::{expand_with, ExpandOptions};
     use crate::library;
     use mbist_mem::{
-        class_universe, FaultClass, MemGeometry, MemoryArray, PortId, UniverseSpec,
+        class_universe, class_universe_sampled, FaultClass, MemGeometry, MemoryArray,
+        PortId, UniverseSpec,
     };
     use mbist_rtl::Bits;
+    use std::slice;
+
+    /// The token of a run nothing cancels.
+    const NEVER: CancelToken = CancelToken::none();
 
     /// One flag per fault of `universe` against `trace` through a fresh
     /// plan, the path the run took, and the run's scratch (which holds the
@@ -1794,7 +1880,7 @@ mod tests {
         let plan = UniversePlan::new(trace.geometry(), universe);
         let path = plan.path(&trace.into()).expect("a complete trace of the geometry");
         let mut scratch = PlanScratch::default();
-        let flags = plan.detect(trace, &mut scratch, &CancelToken::none());
+        let flags = plan.detect(trace, &mut scratch, &NEVER);
         assert_eq!(flags.len(), universe.len(), "an uncancelled run flags every fault");
         (flags, path, scratch)
     }
@@ -1955,7 +2041,7 @@ mod tests {
         let plan = UniversePlan::new(g, &universe);
         assert_eq!(plan.path(&(&trace).into()), Some(Path::Uniform));
         let mut scratch = PlanScratch::default();
-        let packed = plan.detect(&trace, &mut scratch, &CancelToken::none());
+        let packed = plan.detect(&trace, &mut scratch, &NEVER);
         assert_eq!(
             scratch.programs.store.len(),
             1,
@@ -2073,12 +2159,12 @@ mod tests {
         use crate::trace::SimEngine;
         let oracle = trace.detect_universe(plan.universe(), Some(1), SimEngine::Full);
         let mut scratch = PlanScratch::default();
-        let flags = plan.detect(trace, &mut scratch, &CancelToken::none());
+        let flags = plan.detect(trace, &mut scratch, &NEVER);
         assert_eq!(flags, oracle, "{what}: flags");
         let total = oracle.iter().filter(|&&d| d).count();
         for cap in caps(total) {
             let want = Some(cap.map_or(total, |c| total.min(c)));
-            let count = plan.count_detected(trace.into(), cap, &mut scratch);
+            let count = plan.count_detected(trace.into(), cap, &mut scratch, &NEVER);
             assert_eq!(count, want, "{what}: complete trace, cap {cap:?}");
         }
         total
@@ -2093,9 +2179,8 @@ mod tests {
         scratch: &mut PlanScratch,
     ) -> Option<Vec<bool>> {
         let path = plan.path(&trace)?;
-        let never = CancelToken::none();
         let flags = Some(vec![false; plan.universe.len()]);
-        let mut verdicts = Verdicts { count: 0, stop: usize::MAX, flags, cancel: &never };
+        let mut verdicts = Verdicts { count: 0, stop: usize::MAX, flags, cancel: &NEVER };
         plan.run(trace.trace, path, scratch, &mut verdicts);
         verdicts.flags
     }
@@ -2110,14 +2195,15 @@ mod tests {
         what: &str,
     ) {
         let mut scratch = PlanScratch::default();
-        let part = arena.compile_support(test, &plan.geometry, opts, plan);
+        let part = arena.compile_support(test, &plan.geometry, opts, slice::from_ref(plan));
         let flags = plan_flags(plan, part, &mut scratch);
         assert_eq!(flags.as_deref(), Some(oracle), "{what}: support-restricted flags");
         let total = oracle.iter().filter(|&&d| d).count();
         for cap in caps(total) {
             let want = Some(cap.map_or(total, |c| total.min(c)));
-            let part = arena.compile_support(test, &plan.geometry, opts, plan);
-            let part = plan.count_detected(part, cap, &mut scratch);
+            let part =
+                arena.compile_support(test, &plan.geometry, opts, slice::from_ref(plan));
+            let part = plan.count_detected(part, cap, &mut scratch, &NEVER);
             assert_eq!(part, want, "{what}: support-restricted trace, cap {cap:?}");
         }
     }
@@ -2137,7 +2223,7 @@ mod tests {
         let path = plan.path(&(&trace).into());
         assert_eq!(path, Some(Path::Uniform), "{what}: certificate must hold");
         assert_complete_matches(&plan, &trace, what);
-        let oracle = plan.detect(&trace, &mut PlanScratch::default(), &CancelToken::none());
+        let oracle = plan.detect(&trace, &mut PlanScratch::default(), &NEVER);
         let mut arena = crate::trace::TraceArena::new();
         assert_restricted_matches(&plan, (test, &opts), &mut arena, &oracle, what);
     }
@@ -2277,8 +2363,13 @@ mod tests {
             (&plan2, &library::march_c(), "two words"),
         ] {
             let opts = ExpandOptions::for_geometry(&plan.geometry);
-            let part = arena.compile_support(test, &plan.geometry, &opts, plan);
-            assert_eq!(plan.count_detected(part, None, &mut scratch), None, "{what}");
+            let part =
+                arena.compile_support(test, &plan.geometry, &opts, slice::from_ref(plan));
+            assert_eq!(
+                plan.count_detected(part, None, &mut scratch, &NEVER),
+                None,
+                "{what}"
+            );
             let complete = CompiledTrace::compile(test, &plan.geometry, &opts);
             assert_complete_matches(plan, &complete, what);
         }
@@ -2290,7 +2381,7 @@ mod tests {
             &ExpandOptions::for_geometry(&g8),
         );
         assert_eq!(plan.path(&(&t8).into()), None);
-        assert_eq!(plan.count_detected((&t8).into(), None, &mut scratch), None);
+        assert_eq!(plan.count_detected((&t8).into(), None, &mut scratch, &NEVER), None);
     }
 
     #[test]
@@ -2343,8 +2434,9 @@ mod tests {
             count(FaultClass::AddressDecoder),
             "decoders group by verdict"
         );
+        // One remap key, and two multi-access keys per wired polarity.
         assert!(
-            plan.decoders.len() <= 4,
+            plan.decoders.len() <= 3,
             "{} decoder replays per candidate",
             plan.decoders.len()
         );
@@ -2354,8 +2446,9 @@ mod tests {
             .filter(|group| group.rep.class == LaneClass::StuckOpen)
             .count();
         assert!(stuck_open <= 3, "{stuck_open} stuck-open programs for one bit");
+        // Canonical representatives: words 0–4 and the top word at most.
         assert!(
-            plan.support().len() <= 16,
+            plan.support().len() <= 6,
             "support of {} words: {:?}",
             plan.support().len(),
             plan.support()
@@ -2367,10 +2460,13 @@ mod tests {
         let mut scratch = PlanScratch::default();
         for test in [library::march_c(), library::march_c_plus()] {
             let opts = ExpandOptions::for_geometry(&g);
-            let part = arena.compile_support(&test, &g, &opts, &plan);
-            let count = plan.count_detected(part, None, &mut scratch);
+            let part = arena.compile_support(&test, &g, &opts, slice::from_ref(&plan));
+            let count = plan.count_detected(part, None, &mut scratch, &NEVER);
             let complete = CompiledTrace::compile(&test, &g, &opts);
-            assert_eq!(count, plan.count_detected((&complete).into(), None, &mut scratch));
+            assert_eq!(
+                count,
+                plan.count_detected((&complete).into(), None, &mut scratch, &NEVER)
+            );
             assert_eq!(scratch.intervals.len(), 1, "{}", test.name());
         }
     }
@@ -2477,7 +2573,7 @@ mod tests {
             uniform += usize::from(path == Some(Path::Uniform));
             assert_complete_matches(&plan, &trace, &what);
             if path == Some(Path::Uniform) {
-                let oracle = plan.detect(&trace, &mut scratch, &CancelToken::none());
+                let oracle = plan.detect(&trace, &mut scratch, &NEVER);
                 assert_restricted_matches(
                     &plan,
                     (&test, &opts),
@@ -2486,8 +2582,8 @@ mod tests {
                     &what,
                 );
             } else {
-                let part = arena.compile_support(&test, &g, &opts, &plan);
-                let got = plan.count_detected(part, None, &mut scratch);
+                let part = arena.compile_support(&test, &g, &opts, slice::from_ref(&plan));
+                let got = plan.count_detected(part, None, &mut scratch, &NEVER);
                 assert_eq!(got, None, "{what}: restricted outside the certificate");
             }
         }
@@ -2495,5 +2591,218 @@ mod tests {
             uniform * 2 > cases && uniform < cases,
             "{uniform} of {cases} cases took the uniform path: both paths must be exercised"
         );
+    }
+
+    #[test]
+    fn remaps_share_one_verdict_in_either_word_order() {
+        // A remap's verdict does not depend on which of its words is lower:
+        // every access of either word lands on one cell, and the two words'
+        // op contents merge alike in either order. So every remap shares
+        // one verdict group, and its one replay must match full replay for
+        // pairs in both orders, adjacent and far apart, on complete and
+        // restricted compiles, for library marches and random timed ones.
+        use crate::trace::TraceArena;
+        let mut rng = mbist_mem::rng::SplitMix64::new(0xa11a5);
+        let mut tests = vec![
+            library::mats_plus(),
+            library::march_c(),
+            library::march_b(),
+            library::march_c_plus(),
+        ];
+        tests.extend((0..24).map(|_| random_timed_march(&mut rng)));
+        let mut arena = TraceArena::new();
+        for g in [
+            MemGeometry::bit_oriented(5),
+            MemGeometry::word_oriented(16, 4),
+            MemGeometry::new(33, 1, 2),
+        ] {
+            let n = g.words();
+            let spec = UniverseSpec::default();
+            let mut universe: Vec<FaultKind> =
+                class_universe(&g, FaultClass::AddressDecoder, &spec)
+                    .into_iter()
+                    .filter(|f| matches!(f, FaultKind::AddressMap { .. }))
+                    .collect();
+            let far = [(0, n - 1), (n - 1, 0), (n - 1, 1), (2, n - 2)];
+            universe.extend(far.map(|(from, to)| FaultKind::AddressMap { from, to }));
+            let lower_first = |f: &FaultKind| f.decoder_words().is_some_and(|(a, b)| a < b);
+            assert!(universe.iter().any(lower_first) && !universe.iter().all(lower_first));
+            let plan = UniversePlan::new(g, &universe);
+            assert_eq!(plan.decoders.len(), 1, "one verdict group holds every remap");
+            for test in &tests {
+                let what = format!("{test} on {g}");
+                let opts = ExpandOptions::for_geometry(&g);
+                let trace = CompiledTrace::compile(test, &g, &opts);
+                assert_complete_matches(&plan, &trace, &what);
+                if plan.path(&(&trace).into()) == Some(Path::Uniform) {
+                    let oracle = plan.detect(&trace, &mut PlanScratch::default(), &NEVER);
+                    assert_restricted_matches(
+                        &plan,
+                        (test, &opts),
+                        &mut arena,
+                        &oracle,
+                        &what,
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_support_stays_within_six_words_on_perfbench_geometries() {
+        // Every group's representative sits on words 0–4 or the top word,
+        // so on the paper's geometries each class's support — and the
+        // union a coverage run compiles — is at most six words, however
+        // many words the memory has and wherever the sampled faults sit.
+        for (words, width, ports) in
+            [(1024, 1, 1), (1024, 8, 1), (1024, 8, 2), (8192, 1, 1)]
+        {
+            let g = MemGeometry::new(words, width, ports);
+            let canonical = |w: &u64| *w <= 4 || *w == words - 1;
+            let mut union = Vec::new();
+            for class in FaultClass::ALL {
+                let universe =
+                    class_universe_sampled(&g, class, &UniverseSpec::default(), 256);
+                let plan = UniversePlan::new(g, universe);
+                let support = plan.support();
+                assert!(
+                    support.len() <= 6 && support.iter().all(canonical),
+                    "{class:?} on {g}: {support:?}"
+                );
+                union.extend_from_slice(support);
+            }
+            union.sort_unstable();
+            union.dedup();
+            assert!(union.len() <= 6, "{g}: {union:?}");
+        }
+    }
+
+    /// The plans [`crate::evaluate_coverage`] builds for every class under
+    /// `spec` and `cap`.
+    fn coverage_plans(
+        g: MemGeometry,
+        spec: &UniverseSpec,
+        cap: usize,
+    ) -> Vec<UniversePlan<'static>> {
+        FaultClass::ALL
+            .iter()
+            .map(|&class| {
+                UniversePlan::new(g, class_universe_sampled(&g, class, spec, cap))
+            })
+            .collect()
+    }
+
+    /// The packed coverage report of `test` on `g` must equal the full
+    /// engine's; returns whether the packed run compiled restricted.
+    fn assert_coverage_matches_full(
+        test: &crate::MarchTest,
+        g: MemGeometry,
+        spec: UniverseSpec,
+        cap: usize,
+        expand: &ExpandOptions,
+    ) -> bool {
+        use crate::coverage::{evaluate_coverage, CoverageOptions};
+        use crate::trace::{SimEngine, TraceArena};
+        let options = |engine| CoverageOptions {
+            spec,
+            max_faults_per_class: Some(cap),
+            expand: Some(expand.clone()),
+            jobs: Some(1),
+            engine,
+            ..CoverageOptions::default()
+        };
+        let packed = evaluate_coverage(test, &g, &options(SimEngine::Packed));
+        let full = evaluate_coverage(test, &g, &options(SimEngine::Full));
+        assert_eq!(packed, full, "{test} on {g}, cap {cap}, {spec:?}, {expand:?}");
+        let plans = coverage_plans(g, &spec, cap);
+        !TraceArena::new().compile_for(test, &g, expand, &plans).complete
+    }
+
+    #[test]
+    fn coverage_matches_full_on_random_marches_with_canonical_representatives() {
+        // Canonical representatives end to end, in release mode too: on
+        // random marches with integral and fractional pauses (3–1100
+        // words, 1–8 bits, 1–2 ports, random deadlines, read budgets and
+        // coupling windows), the packed coverage report — every class
+        // planned, one compile restricted to the plans' support, or
+        // complete when a plan declines it — equals the full engine's. From
+        // 24 words on the caps keep every sampled single-cell fault past
+        // word 4, so those groups' programs come from representatives no
+        // member shares.
+        let mut rng = mbist_mem::rng::SplitMix64::new(0xc0de);
+        let (mut restricted, mut relocated) = (0, 0);
+        let cases = 120;
+        for _ in 0..cases {
+            let mut pick = |n: u64| rng.next_u64() % n;
+            let words = if pick(4) == 0 { 24 + pick(1077) } else { 3 + pick(40) };
+            let g = MemGeometry::new(words, 1 + pick(8) as u8, 1 + pick(2) as u8);
+            let cap = 1 + pick(if words >= 24 { 4 } else { 8 }) as usize;
+            let spec = UniverseSpec {
+                coupling_window: 1 + pick(2),
+                retention_ns: [50_000.0, 40.0, 120.0, 1e3, 5e3 + 0.5][pick(5) as usize],
+                pull_open_good_reads: 1 + pick(3) as u8,
+            };
+            let expand = if pick(2) == 0 {
+                ExpandOptions::for_geometry(&g)
+            } else {
+                ExpandOptions::minimal(&g)
+            };
+            let test = random_timed_march(&mut rng);
+            restricted +=
+                usize::from(assert_coverage_matches_full(&test, g, spec, cap, &expand));
+            if words >= 24 {
+                let saf = class_universe_sampled(&g, FaultClass::StuckAt, &spec, cap);
+                let lowest =
+                    saf.iter().flat_map(|f| f.support().expect("a cell").cells().to_vec());
+                assert!(lowest.map(|c| c.word).min() > Some(4), "cap {cap} on {g}");
+                relocated += 1;
+            }
+        }
+        assert!(
+            restricted * 2 > cases && restricted < cases && relocated * 8 > cases,
+            "{restricted} of {cases} runs compiled restricted, {relocated} relocated"
+        );
+    }
+
+    #[test]
+    fn declined_coverage_compiles_complete_and_matches_full() {
+        // Where some plan declines the restricted compile — a dirty march,
+        // one- and two-word memories, a fractional pause against retention
+        // faults — the coverage run compiles complete and its report still
+        // equals the full engine's. The fractional march without retention
+        // faults compiles restricted.
+        let parse =
+            |notation| crate::MarchTest::parse("inline", notation).expect("notation");
+        // Its second element reads 1 after writing 0.
+        let dirty = parse("⇕(w1); ⇓(r1,w0,r1); ⇑(r0,w1); ⇕(r1)");
+        let fractional = parse("⇕(w0); ⇑(r0,w1); pause(0.5ns); ⇓(r1,w0); ⇕(r0)");
+        let spec = UniverseSpec::default();
+        let on = |g: MemGeometry| (g, ExpandOptions::for_geometry(&g));
+        for (test, (g, expand)) in [
+            (&dirty, on(MemGeometry::bit_oriented(16))),
+            (&dirty, on(MemGeometry::word_oriented(8, 4))),
+            (&library::march_c(), on(MemGeometry::bit_oriented(1))),
+            (&library::march_c_plus(), on(MemGeometry::bit_oriented(2))),
+            (&library::march_b(), on(MemGeometry::new(2, 4, 2))),
+            (&fractional, on(MemGeometry::bit_oriented(16))),
+            (&fractional, on(MemGeometry::new(12, 2, 2))),
+        ] {
+            let what = format!("{test} on {g}");
+            assert!(!assert_coverage_matches_full(test, g, spec, 64, &expand), "{what}");
+        }
+        // Retention faults alone decline the fractional pause; the other
+        // classes' plans accept it.
+        use crate::trace::TraceArena;
+        let (g, expand) = on(MemGeometry::bit_oriented(16));
+        let (drf, others): (Vec<_>, Vec<_>) = coverage_plans(g, &spec, 64)
+            .into_iter()
+            .zip(FaultClass::ALL)
+            .partition(|(_, class)| *class == FaultClass::Retention);
+        let mut arena = TraceArena::new();
+        for (plans, complete) in [(others, false), (drf, true)] {
+            let plans: Vec<_> = plans.into_iter().map(|(plan, _)| plan).collect();
+            let trace = arena.compile_for(&fractional, &g, &expand, &plans);
+            assert_eq!(trace.complete, complete);
+        }
     }
 }

@@ -12,12 +12,15 @@
 //!   (`crate::packed`): every fault's route, rank or verdict group is
 //!   fixed once, so per-candidate simulation scales with the number of
 //!   distinct access programs, not the number of faults, and candidates
-//!   compile only the few support words the groups' representatives
-//!   read, jumping the rest of each element in O(1), so compilation does
-//!   not scale with the word count either. A candidate the plan declines
-//!   (golden miscompares, too few words for its certificate, or a
-//!   fractional pause against retention faults) is recompiled complete
-//!   and counted by the same plan's general path;
+//!   compile only the support words the groups' canonical representatives
+//!   read (at most six, on the lowest words and the top one), jumping the
+//!   rest of each element in O(1), so compilation does not scale with the
+//!   word count either. Candidates compile through
+//!   [`TraceArena::compile_for`], the restricted-then-complete fallback
+//!   coverage runs share: a candidate the plan declines (golden
+//!   miscompares, too few words for its certificate, or a fractional
+//!   pause against retention faults) is recompiled complete and counted
+//!   by the same plan's general path;
 //! - scoring stops early once `stop_after` detections are decided (the
 //!   lexicographic fitness only compares `min(detected, target)`).
 //!
@@ -287,8 +290,10 @@ fn structural_key(test: &MarchTest) -> Vec<u8> {
 }
 
 /// The per-candidate hot path: arena recompile, then a capped count.
-/// The packed plan gets a support-restricted compile first; a candidate it
-/// declines is recompiled complete, which the plan always counts.
+/// The packed plan's compile falls back from support-restricted to
+/// complete when the plan declines it ([`TraceArena::compile_for`]). A
+/// candidate is never cut short: cancellation is checked between
+/// candidates, so a count is always exact.
 fn score_candidate(
     test: &MarchTest,
     geometry: &MemGeometry,
@@ -298,26 +303,14 @@ fn score_candidate(
     worker: &mut EvalWorker,
 ) -> usize {
     let t0 = Instant::now();
-    let mut t1;
+    let t1;
     let detected = match oracle {
         Oracle::Packed(plan) => {
-            let trace = worker.arena.compile_support(test, geometry, expand, plan);
+            let plans = std::slice::from_ref(plan);
+            let trace = worker.arena.compile_for(test, geometry, expand, plans);
             t1 = Instant::now();
-            match plan.count_detected(trace, stop_after, &mut worker.plan) {
-                Some(detected) => detected,
-                // The plan declines a support-restricted trace outside its
-                // certificate (golden miscompares, or too few words): its
-                // general path may read any word, so it gets a complete
-                // compile. The search never produces such candidates
-                // (canonical tests replay clean), so the second compile
-                // stays off the hot path.
-                None => {
-                    let trace = worker.arena.compile(test, geometry, expand);
-                    t1 = Instant::now();
-                    plan.count_detected(trace.into(), stop_after, &mut worker.plan)
-                        .expect("a plan counts every complete trace of its geometry")
-                }
-            }
+            plan.count_detected(trace, stop_after, &mut worker.plan, &CancelToken::none())
+                .expect("the plan accepts the trace compiled for it")
         }
         Oracle::Full(universe) => {
             let trace = worker.arena.compile(test, geometry, expand);

@@ -16,16 +16,19 @@
 //! [`CompiledTrace::compile`] runs it once into exactly presized buffers;
 //! [`TraceArena::compile`] checkpoints the first pass's item boundaries,
 //! so a candidate sharing an item prefix replays only its tail; and
-//! [`TraceArena::compile_support`] records only a [`UniversePlan`]'s
-//! support words and no step stream, as a [`SupportTrace`] only the plan
-//! accepts — and jumps each run of unrecorded words in O(1), so its cost
-//! follows the support, not the word count. Hand-made streams enter
-//! through [`CompiledTrace::from_steps`],
-//! which validates each step, feeds the same per-access recorder and
-//! parses the stream for the certificates. On expanded marches `compile` ≡
-//! `from_steps(expand_with(..))` field for field, and both match a
-//! fault-free memory-array replay — the reference the compiler is
-//! tested against.
+//! [`TraceArena::compile_support`] records only the support words of
+//! some [`UniversePlan`]s and no step stream, as a [`SupportTrace`] only
+//! the plans accept — and jumps each run of unrecorded words in O(1), so
+//! its cost follows the support, not the word count;
+//! [`TraceArena::compile_for`] falls back from it to a complete compile
+//! when a plan declines it. Hand-made streams enter through
+//! [`CompiledTrace::from_steps`], which validates each step, feeds the
+//! same per-access recorder and parses the stream for the certificates.
+//! On expanded marches `compile` ≡ `from_steps(expand_with(..))` field for
+//! field, and both match a fault-free memory-array replay — the reference
+//! the compiler is tested against.
+
+use std::borrow::Cow;
 
 use mbist_mem::{
     BusCycle, FaultKind, MemGeometry, MemoryArray, Operation, PortId, TestStep,
@@ -1016,7 +1019,12 @@ impl CompiledTrace {
         universe.iter().for_each(|&fault| self.check_fault(fault));
         match engine {
             SimEngine::Packed => UniversePlan::new(self.geometry, universe)
-                .count_detected(self.into(), stop_after, &mut PlanScratch::default())
+                .count_detected(
+                    self.into(),
+                    stop_after,
+                    &mut PlanScratch::default(),
+                    &crate::cancel::CancelToken::none(),
+                )
                 .expect("a plan counts every complete trace of its geometry"),
             SimEngine::Full => {
                 let mut scratch = MemoryArray::new(self.geometry);
@@ -1111,14 +1119,16 @@ impl TraceArena {
         self.compile_with(test, geometry, options, None)
     }
 
-    /// Compiles `test` for `plan` alone: only the op lists of the plan's
-    /// support words ([`UniversePlan::support`]) are recorded, and no step
-    /// stream. Each run of other words in an element costs O(1) — the step
-    /// counter, clock and port latch jump past it — whenever the element
-    /// replays clean and the clock stays an exact integer, so a compile
-    /// costs O(elements × support words), not O(steps). The result is a
-    /// [`SupportTrace`], which only [`UniversePlan::count_detected`]
-    /// accepts.
+    /// Compiles `test` for `plans` alone: only the op lists of the union
+    /// of their support words ([`UniversePlan::support`], at most six words
+    /// on generated universes) are recorded, and no step stream. Each run
+    /// of other words in an element costs O(1) — the step counter, clock
+    /// and port latch jump past it — whenever the element replays clean and
+    /// the clock stays an exact integer, so a compile costs O(elements ×
+    /// support words), not O(steps). The result is a [`SupportTrace`],
+    /// which only [`UniversePlan::count_detected`] accepts, and which a
+    /// plan declines outside its certificate ([`Self::compile_for`] falls
+    /// back for it).
     ///
     /// # Panics
     ///
@@ -1128,14 +1138,47 @@ impl TraceArena {
         test: &MarchTest,
         geometry: &MemGeometry,
         options: &ExpandOptions,
-        plan: &UniversePlan<'_>,
+        plans: &[UniversePlan<'_>],
     ) -> SupportTrace<'_> {
-        SupportTrace::restricted(self.compile_with(
-            test,
-            geometry,
-            options,
-            Some(plan.support()),
-        ))
+        let support = match plans {
+            [plan] => Cow::Borrowed(plan.support()),
+            _ => {
+                let mut words: Vec<u64> =
+                    plans.iter().flat_map(|plan| plan.support()).copied().collect();
+                words.sort_unstable();
+                words.dedup();
+                Cow::Owned(words)
+            }
+        };
+        SupportTrace::restricted(self.compile_with(test, geometry, options, Some(&support)))
+    }
+
+    /// Compiles `test` for counting with `plans`, the one
+    /// restricted-then-complete fallback the coverage run and the search
+    /// scorer share: support-restricted ([`Self::compile_support`]) when
+    /// every plan accepts that trace, and complete otherwise. A plan
+    /// declines a restricted trace outside its certificate — golden
+    /// miscompares (a dirty march), fewer than three words, or a
+    /// fractional pause against retention faults — because its general
+    /// path may read any word; it counts every complete trace of its
+    /// geometry. So each plan counts the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`CompiledTrace::compile`].
+    pub(crate) fn compile_for(
+        &mut self,
+        test: &MarchTest,
+        geometry: &MemGeometry,
+        options: &ExpandOptions,
+        plans: &[UniversePlan<'_>],
+    ) -> SupportTrace<'_> {
+        let trace = self.compile_support(test, geometry, options, plans);
+        if plans.iter().all(|plan| plan.accepts(trace)) {
+            let trace = self.trace.as_ref().expect("a compile leaves its trace");
+            return SupportTrace::restricted(trace);
+        }
+        self.compile(test, geometry, options).into()
     }
 
     /// Shared body of both compiles: roll back to the last checkpoint the

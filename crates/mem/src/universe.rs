@@ -253,9 +253,10 @@ pub fn class_universe(
     }
 }
 
-/// Exact size of [`class_universe`] without materializing it — counting
-/// loops only, no `FaultKind` construction. Lets samplers pick stride
-/// indices up front and generate just the kept faults.
+/// Exact size of [`class_universe`] without materializing it — closed
+/// forms, and a walk over the words for NPSF only, no `FaultKind`
+/// construction. Lets samplers pick stride indices up front and generate
+/// just the kept faults.
 #[must_use]
 pub fn class_universe_len(
     g: &MemGeometry,
@@ -275,34 +276,80 @@ pub fn class_universe_len(
         FaultClass::CouplingIdempotent | FaultClass::CouplingState => {
             4 * coupling_pairs_len(g, spec)
         }
+        // Address bit `b` pairs the words below `n` that differ only in it,
+        // one pair per word with bit `b` set; each pair holds four faults
+        // (a remap from either word, and the lower word's two
+        // multi-accesses).
         FaultClass::AddressDecoder => {
-            let mut n = 0usize;
-            for from in 0..g.words() {
-                for bit in 0..g.addr_bits() {
-                    let to = from ^ (1u64 << bit);
-                    if g.contains_addr(to) {
-                        n += if from < to { 3 } else { 1 };
-                    }
-                }
-            }
-            n
+            let n = u128::from(g.words());
+            let pairs: u128 = (0..g.addr_bits())
+                .map(|b| {
+                    let (half, period) = (1u128 << b, 2u128 << b);
+                    n / period * half + (n % period).saturating_sub(half)
+                })
+                .sum();
+            usize::try_from(4 * pairs).expect("fault count fits usize")
         }
         FaultClass::NpsfStatic => interior_words(g) * width * 32,
         FaultClass::NpsfActive => interior_words(g) * width * 64,
     }
 }
 
-/// Number of `(aggressor, victim)` pairs [`coupling_pairs`] generates.
+/// Number of `(aggressor, victim)` pairs [`coupling_pairs`] generates:
+/// every word's same-bit neighbors within the window, summed in closed
+/// form (`Σ_w min(c, w) + min(c, n−1−w) = 2·Σ_{u<n} min(c, u)`), plus two
+/// bit-adjacent pairs per word and adjacent bit position.
 fn coupling_pairs_len(g: &MemGeometry, spec: &UniverseSpec) -> usize {
-    let words = g.words();
-    let window = spec.coupling_window;
-    let mut word_neighbors = 0u64;
-    for w in 0..words {
-        word_neighbors += window.min(w) + window.min(words - 1 - w);
-    }
+    let (words, window) = (g.words(), spec.coupling_window);
+    let m = words.min(window);
+    let below_window = m * m.saturating_sub(1) / 2 + (words - m) * window;
     let width = u64::from(g.width());
-    usize::try_from(word_neighbors * width + 2 * words * (width - 1))
+    usize::try_from(2 * below_window * width + 2 * words * (width - 1))
         .expect("pair count fits usize")
+}
+
+/// Number of entries [`class_universe`] gives `word` (the faults whose
+/// enumeration falls under it), in O(1) — what lets the sampler skip a
+/// word that holds no kept index without generating its faults.
+fn word_universe_len(
+    g: &MemGeometry,
+    class: FaultClass,
+    spec: &UniverseSpec,
+    cols: u64,
+    word: u64,
+) -> usize {
+    let width = usize::from(g.width());
+    let coupling = || {
+        let window = spec.coupling_window;
+        let near = window.min(word) + window.min(g.words() - 1 - word);
+        usize::try_from(near).expect("pair count fits usize") * width + 2 * (width - 1)
+    };
+    let npsf = |per_cell: usize| {
+        if neighborhood(g, word, cols).is_some() {
+            per_cell * width
+        } else {
+            0
+        }
+    };
+    match class {
+        FaultClass::StuckAt
+        | FaultClass::Transition
+        | FaultClass::Retention
+        | FaultClass::PullOpen => 2 * width,
+        FaultClass::StuckOpen => width,
+        FaultClass::CouplingInversion => 2 * coupling(),
+        FaultClass::CouplingIdempotent | FaultClass::CouplingState => 4 * coupling(),
+        // A set address bit pairs the word with a lower one (one remap); a
+        // clear bit `b` pairs it with a higher one when `word + 2^b < n`,
+        // i.e. for the bits below those of `n − word − 1` (a remap and two
+        // multi-accesses).
+        FaultClass::AddressDecoder => {
+            let higher = (g.words() - word).next_power_of_two() - 1;
+            (word.count_ones() + 3 * (!word & higher).count_ones()) as usize
+        }
+        FaultClass::NpsfStatic => npsf(32),
+        FaultClass::NpsfActive => npsf(64),
+    }
 }
 
 /// Number of words with a complete type-1 neighborhood.
@@ -314,32 +361,52 @@ fn interior_words(g: &MemGeometry) -> usize {
 /// Walks the [`class_universe`] enumeration order in fixed-size blocks,
 /// constructing only the faults whose global index is in the stride-kept
 /// set `ceil(k·len/max) − 1` for `k = 1..=max` — the same subsample
-/// `stride_sample` would take from the materialized universe.
+/// `stride_sample` would take from the materialized universe — and
+/// stepping over blocks that hold no kept index.
 struct StrideSampler {
-    keep: Box<dyn Iterator<Item = usize>>,
-    next: Option<usize>,
+    len: usize,
+    max: usize,
+    /// The ordinal `k` of the next kept index…
+    k: usize,
+    /// …and that index (`usize::MAX` once all `max` are kept).
+    next: usize,
     idx: usize,
     out: Vec<FaultKind>,
 }
 
 impl StrideSampler {
     fn new(len: usize, max: usize) -> Self {
-        let mut keep: Box<dyn Iterator<Item = usize>> =
-            Box::new((1..=max).map(move |k| (k * len).div_ceil(max) - 1));
-        let next = keep.next();
-        Self { keep, next, idx: 0, out: Vec::with_capacity(max) }
+        let mut s = Self { len, max, k: 0, next: 0, idx: 0, out: Vec::with_capacity(max) };
+        s.advance();
+        s
+    }
+
+    fn advance(&mut self) {
+        self.k += 1;
+        self.next = if self.k <= self.max {
+            (self.k * self.len).div_ceil(self.max) - 1
+        } else {
+            usize::MAX
+        };
+    }
+
+    /// Steps past a block of `len` consecutive universe entries if it
+    /// holds no kept index; returns whether it did.
+    fn skip(&mut self, len: usize) -> bool {
+        let skipped = self.next >= self.idx + len;
+        if skipped {
+            self.idx += len;
+        }
+        skipped
     }
 
     /// Advances past a block of `len` consecutive universe entries,
     /// materializing the kept ones via `gen(offset_in_block)`.
     fn block(&mut self, len: usize, gen: impl Fn(usize) -> FaultKind) {
         let end = self.idx + len;
-        while let Some(n) = self.next {
-            if n >= end {
-                break;
-            }
-            self.out.push(gen(n - self.idx));
-            self.next = self.keep.next();
+        while self.next < end {
+            self.out.push(gen(self.next - self.idx));
+            self.advance();
         }
         self.idx = end;
     }
@@ -348,10 +415,11 @@ impl StrideSampler {
 /// [`class_universe`] pre-subsampled to at most `max` faults with the
 /// deterministic stride rule `evaluate_coverage` uses (`max == 0` means no
 /// cap). Returns exactly `stride_sample(class_universe(..), max)` but
-/// generates only the kept faults — on large geometries the NPSF and
-/// decoder universes run to tens of thousands of entries, and coverage
-/// runs that cap each class at a few hundred should not pay to
-/// materialize them.
+/// generates only the kept faults, and steps over every word that holds
+/// no kept index in O(1) (`word_universe_len`) — on large geometries the
+/// NPSF, coupling and decoder universes run to tens of thousands of
+/// entries, and coverage runs that cap each class at a few hundred should
+/// not generate the faults of the words they do not keep.
 #[must_use]
 pub fn class_universe_sampled(
     g: &MemGeometry,
@@ -364,48 +432,57 @@ pub fn class_universe_sampled(
         return class_universe(g, class, spec);
     }
     let mut s = StrideSampler::new(len, max);
-    match class {
-        FaultClass::StuckAt => {
-            for cell in g.cells() {
-                s.block(2, |i| FaultKind::StuckAt { cell, value: i == 1 });
-            }
+    let cols = topology_cols(g);
+    let mut pairs = Vec::new();
+    for word in 0..g.words() {
+        if s.skip(word_universe_len(g, class, spec, cols, word)) {
+            continue;
         }
-        FaultClass::Transition => {
-            for cell in g.cells() {
-                s.block(2, |i| FaultKind::Transition { cell, rising: i == 0 });
+        let cells = (0..g.width()).map(|bit| CellId::new(word, bit));
+        match class {
+            FaultClass::StuckAt => {
+                for cell in cells {
+                    s.block(2, |i| FaultKind::StuckAt { cell, value: i == 1 });
+                }
             }
-        }
-        FaultClass::CouplingInversion => {
-            for (aggressor, victim) in coupling_pairs(g, spec) {
-                s.block(2, |i| FaultKind::CouplingInversion {
-                    aggressor,
-                    victim,
-                    rising: i == 0,
-                });
+            FaultClass::Transition => {
+                for cell in cells {
+                    s.block(2, |i| FaultKind::Transition { cell, rising: i == 0 });
+                }
             }
-        }
-        FaultClass::CouplingIdempotent => {
-            for (aggressor, victim) in coupling_pairs(g, spec) {
-                s.block(4, |i| FaultKind::CouplingIdempotent {
-                    aggressor,
-                    victim,
-                    rising: i < 2,
-                    forced: i % 2 == 0,
-                });
+            FaultClass::CouplingInversion
+            | FaultClass::CouplingIdempotent
+            | FaultClass::CouplingState => {
+                pairs.clear();
+                push_word_coupling_pairs(g, spec, word, &mut pairs);
+                for &(aggressor, victim) in &pairs {
+                    match class {
+                        FaultClass::CouplingInversion => {
+                            s.block(2, |i| FaultKind::CouplingInversion {
+                                aggressor,
+                                victim,
+                                rising: i == 0,
+                            });
+                        }
+                        FaultClass::CouplingIdempotent => {
+                            s.block(4, |i| FaultKind::CouplingIdempotent {
+                                aggressor,
+                                victim,
+                                rising: i < 2,
+                                forced: i % 2 == 0,
+                            });
+                        }
+                        _ => s.block(4, |i| FaultKind::CouplingState {
+                            aggressor,
+                            victim,
+                            when: i < 2,
+                            forced: i % 2 == 0,
+                        }),
+                    }
+                }
             }
-        }
-        FaultClass::CouplingState => {
-            for (aggressor, victim) in coupling_pairs(g, spec) {
-                s.block(4, |i| FaultKind::CouplingState {
-                    aggressor,
-                    victim,
-                    when: i < 2,
-                    forced: i % 2 == 0,
-                });
-            }
-        }
-        FaultClass::AddressDecoder => {
-            for from in 0..g.words() {
+            FaultClass::AddressDecoder => {
+                let from = word;
                 for bit in 0..g.addr_bits() {
                     let to = from ^ (1u64 << bit);
                     if g.contains_addr(to) {
@@ -420,70 +497,68 @@ pub fn class_universe_sampled(
                     }
                 }
             }
-        }
-        FaultClass::StuckOpen => {
-            for cell in g.cells() {
-                s.block(1, |_| FaultKind::StuckOpen { cell });
+            FaultClass::StuckOpen => {
+                for cell in cells {
+                    s.block(1, |_| FaultKind::StuckOpen { cell });
+                }
             }
-        }
-        FaultClass::Retention => {
-            for cell in g.cells() {
-                s.block(2, |i| FaultKind::Retention {
-                    cell,
-                    decays_to: i == 1,
-                    retention_ns: spec.retention_ns,
-                });
+            FaultClass::Retention => {
+                for cell in cells {
+                    s.block(2, |i| FaultKind::Retention {
+                        cell,
+                        decays_to: i == 1,
+                        retention_ns: spec.retention_ns,
+                    });
+                }
             }
-        }
-        FaultClass::PullOpen => {
-            for cell in g.cells() {
-                s.block(2, |i| FaultKind::PullOpen {
-                    cell,
-                    good_reads: spec.pull_open_good_reads,
-                    decays_to: i == 1,
-                });
+            FaultClass::PullOpen => {
+                for cell in cells {
+                    s.block(2, |i| FaultKind::PullOpen {
+                        cell,
+                        good_reads: spec.pull_open_good_reads,
+                        decays_to: i == 1,
+                    });
+                }
             }
-        }
-        FaultClass::NpsfStatic => {
-            let cols = topology_cols(g);
-            for cell in g.cells() {
-                let Some(nb) = neighborhood(g, cell.word, cols) else { continue };
-                s.block(32, |i| {
-                    let pattern = u8::try_from(i / 2).expect("pattern fits u8");
-                    FaultKind::NpsfStatic {
-                        base: cell,
-                        neighborhood: [
-                            (CellId::new(nb[0], cell.bit), pattern & 1 != 0),
-                            (CellId::new(nb[1], cell.bit), pattern & 2 != 0),
-                            (CellId::new(nb[2], cell.bit), pattern & 4 != 0),
-                            (CellId::new(nb[3], cell.bit), pattern & 8 != 0),
-                        ],
-                        forced: i % 2 == 1,
-                    }
-                });
+            FaultClass::NpsfStatic => {
+                let nb = neighborhood(g, word, cols).expect("a kept word is interior");
+                for cell in cells {
+                    s.block(32, |i| {
+                        let pattern = u8::try_from(i / 2).expect("pattern fits u8");
+                        FaultKind::NpsfStatic {
+                            base: cell,
+                            neighborhood: [
+                                (CellId::new(nb[0], cell.bit), pattern & 1 != 0),
+                                (CellId::new(nb[1], cell.bit), pattern & 2 != 0),
+                                (CellId::new(nb[2], cell.bit), pattern & 4 != 0),
+                                (CellId::new(nb[3], cell.bit), pattern & 8 != 0),
+                            ],
+                            forced: i % 2 == 1,
+                        }
+                    });
+                }
             }
-        }
-        FaultClass::NpsfActive => {
-            let cols = topology_cols(g);
-            for cell in g.cells() {
-                let Some(nb) = neighborhood(g, cell.word, cols) else { continue };
-                s.block(64, |i| {
-                    let trig = i / 16;
-                    let rising = (i % 16) / 8 == 1;
-                    let pattern = u8::try_from(i % 8).expect("pattern fits u8");
-                    let rest: Vec<u64> =
-                        (0..4).filter(|&k| k != trig).map(|k| nb[k]).collect();
-                    FaultKind::NpsfActive {
-                        base: cell,
-                        trigger: CellId::new(nb[trig], cell.bit),
-                        rising,
-                        others: [
-                            (CellId::new(rest[0], cell.bit), pattern & 1 != 0),
-                            (CellId::new(rest[1], cell.bit), pattern & 2 != 0),
-                            (CellId::new(rest[2], cell.bit), pattern & 4 != 0),
-                        ],
-                    }
-                });
+            FaultClass::NpsfActive => {
+                let nb = neighborhood(g, word, cols).expect("a kept word is interior");
+                for cell in cells {
+                    s.block(64, |i| {
+                        let trig = i / 16;
+                        let rising = (i % 16) / 8 == 1;
+                        let pattern = u8::try_from(i % 8).expect("pattern fits u8");
+                        let rest: Vec<u64> =
+                            (0..4).filter(|&k| k != trig).map(|k| nb[k]).collect();
+                        FaultKind::NpsfActive {
+                            base: cell,
+                            trigger: CellId::new(nb[trig], cell.bit),
+                            rising,
+                            others: [
+                                (CellId::new(rest[0], cell.bit), pattern & 1 != 0),
+                                (CellId::new(rest[1], cell.bit), pattern & 2 != 0),
+                                (CellId::new(rest[2], cell.bit), pattern & 4 != 0),
+                            ],
+                        }
+                    });
+                }
             }
         }
     }
@@ -545,25 +620,36 @@ pub fn neighborhood(g: &MemGeometry, word: u64, cols: u64) -> Option<[u64; 4]> {
 pub fn coupling_pairs(g: &MemGeometry, spec: &UniverseSpec) -> Vec<(CellId, CellId)> {
     let mut out = Vec::new();
     for w in 0..g.words() {
-        for b in 0..g.width() {
-            let cell = CellId::new(w, b);
-            // Same bit position in neighboring words, both directions.
-            for d in 1..=spec.coupling_window {
-                if w >= d {
-                    out.push((cell, CellId::new(w - d, b)));
-                }
-                if w + d < g.words() {
-                    out.push((cell, CellId::new(w + d, b)));
-                }
-            }
-            // Adjacent bit within the same word.
-            if b + 1 < g.width() {
-                out.push((cell, CellId::new(w, b + 1)));
-                out.push((CellId::new(w, b + 1), cell));
-            }
-        }
+        push_word_coupling_pairs(g, spec, w, &mut out);
     }
     out
+}
+
+/// Appends the [`coupling_pairs`] whose first cell lies in word `w`, in
+/// order.
+fn push_word_coupling_pairs(
+    g: &MemGeometry,
+    spec: &UniverseSpec,
+    w: u64,
+    out: &mut Vec<(CellId, CellId)>,
+) {
+    for b in 0..g.width() {
+        let cell = CellId::new(w, b);
+        // Same bit position in neighboring words, both directions.
+        for d in 1..=spec.coupling_window {
+            if w >= d {
+                out.push((cell, CellId::new(w - d, b)));
+            }
+            if w + d < g.words() {
+                out.push((cell, CellId::new(w + d, b)));
+            }
+        }
+        // Adjacent bit within the same word.
+        if b + 1 < g.width() {
+            out.push((cell, CellId::new(w, b + 1)));
+            out.push((CellId::new(w, b + 1), cell));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -653,11 +739,15 @@ mod tests {
 
     #[test]
     fn counted_and_sampled_universes_match_the_materialized_ones() {
+        // Small, odd and kiloword sizes, a non-power-of-two kiloword one
+        // (the decoder's partial top pairs), and multi-bit words.
         let geometries = [
             MemGeometry::bit_oriented(16),
             MemGeometry::bit_oriented(300),
             MemGeometry::word_oriented(12, 4),
             MemGeometry::new(33, 2, 2),
+            MemGeometry::bit_oriented(1000),
+            MemGeometry::word_oriented(1024, 2),
         ];
         let specs = [
             UniverseSpec::default(),

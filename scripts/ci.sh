@@ -142,10 +142,19 @@ done
 echo "==> coverage reports: packed vs full where the keyed routes have edges"
 # 3 and 5 words put every stuck-open edge word and every decoder word order
 # in the universe, 16x4 two-port adds per-port sense latches, and 1024
-# words makes retention verdicts change with address rank
-for t in march-c march-c+ mats+ march-a++ march-b; do
+# words makes retention verdicts change with address rank; the kiloword
+# geometries (the paper's 1Kx8 two-port, 8K, and a non-power-of-two 1000x3)
+# sample faults far from the canonical representatives on words 0-4. The
+# inline marches: a fractional pause (retention faults decline the
+# restricted compile, so the run compiles complete), a clean march of the
+# same shape as the next one (restricted), and a dirty one (complete)
+for t in march-c march-c+ mats+ march-a++ march-b \
+    '⇕(w0); ⇑(r0,w1); pause(0.5ns); ⇓(r1,w0); ⇕(r0)' \
+    '⇕(w1); ⇓(r1,w0,r0); ⇑(r0,w1); ⇕(r1)' \
+    '⇕(w1); ⇓(r1,w0,r1); ⇑(r0,w1); ⇕(r1)'; do
     for cfg in "--words 3 --max-faults 0" "--words 5 --max-faults 0" \
-        "--words 16 --width 4 --ports 2 --max-faults 0" "--words 1024"; do
+        "--words 16 --width 4 --ports 2 --max-faults 0" "--words 1024" \
+        "--words 1024 --width 8 --ports 2" "--words 8192" "--words 1000 --width 3"; do
         # $cfg is left unquoted on purpose: it splits into flags
         cov_packed=$(cargo run -q --release -p mbist-cli -- coverage "$t" $cfg)
         cov_full=$(cargo run -q --release -p mbist-cli -- coverage "$t" $cfg --engine full)
