@@ -1,7 +1,8 @@
 //! Fault-simulation engine throughput: serial vs parallel coverage
 //! evaluation under the full-replay oracle and the packed engine,
-//! full-replay vs early-exit detection, the single-fault path against a
-//! full replay over a shared compiled trace, and lane-packed batch
+//! full-replay vs early-exit detection, single-fault detection (a
+//! one-fault packed plan) against a full replay over a shared compiled
+//! trace, and lane-packed batch
 //! simulation of the batchable fault classes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -42,9 +43,10 @@ fn bench_single_fault(c: &mut Criterion) {
     let test = library::march_c();
     let steps = expand(&test, &g);
     let spec = UniverseSpec::default();
-    // A coupling fault exercises the widest sliced support set (two words
-    // plus sensitization checks); the victim sits mid-array so neither
-    // path exits unrealistically early.
+    // A coupling fault exercises an inter-word program (two merged op
+    // lists plus sensitization); the victim sits mid-array so neither
+    // path exits unrealistically early, and the plan builds its program
+    // from a representative relocated onto words 0 and 1.
     let fault =
         class_universe(&g, FaultClass::CouplingInversion, &spec)[g.words() as usize / 2];
 

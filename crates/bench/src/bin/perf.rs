@@ -6,12 +6,13 @@
 //! - `detect_jobs1`: the full-replay oracle, early exit at the first
 //!   miscompare, forced serial (`jobs = 1`);
 //! - `packed`: the lane-packed bit-parallel engine (256 congruent faults
-//!   per `[u64; 4]` lane-block batch, per-fault sliced replay for the
+//!   per `[u64; 4]` lane-block batch, the plan's two-word replay for the
 //!   decoder class), which always runs on the calling thread.
 //!
 //! Every mode must agree on the detection count; each `(test, geometry)`
 //! pair prints an `agreement OK` line that CI greps for. Each geometry also
-//! gets a `{class → packed|sliced|full}` routing breakdown with a
+//! gets a `{class → packed|sliced|full}` routing breakdown (`sliced`
+//! counts decoder faults, which the plan's two-word replay decides) with a
 //! batchable-faults ratio and a `routing OK` sanity line (per-class counts
 //! summing to the sampled total) that CI greps for.
 //!

@@ -89,25 +89,52 @@ fn service_responses_are_bit_identical_to_the_cli() {
 }
 
 /// `detects` must agree with the observable outcome of `run --fault`: a
-/// detected fault is exactly one that makes the offline session FAIL.
+/// detected fault is exactly one that makes the offline session FAIL. The
+/// offline run drives a controller against a fault-injected memory array
+/// and never builds a trace, so it is an oracle independent of the
+/// daemon's one-fault packed plan, whose program for a fault comes from a
+/// representative relocated onto the lowest words. Every spec kind sits
+/// at the edge words, where stuck-open latches see element boundaries, and
+/// at interior ones; March C+'s pauses drive the retention faults; and the
+/// word-oriented geometry puts each fault on its top bit. Each
+/// `(test, geometry)` answers its first request cold and the rest from
+/// the cached trace.
 #[test]
 fn detects_agrees_with_offline_fault_injection() {
     let server = Server::start("127.0.0.1:0", ServiceConfig::default()).expect("bind");
     let addr = server.local_addr();
-    for fault in ["sa0@5", "sa1@0x1f", "tf-up@9", "sof@31", "drf@2"] {
-        let reply = ask(
-            addr,
-            &format!(
-                r#"{{"kind":"detects","test":"march-c","words":32,"fault":"{fault}"}}"#
-            ),
-        );
-        let detected = reply.get("detected").and_then(Json::as_bool).expect("verdict");
-        let offline = cli(&["run", "march-c", "--words", "32", "--fault", fault]);
-        assert_eq!(
-            detected,
-            offline.contains("FAIL"),
-            "service and offline run disagree on {fault}:\n{offline}"
-        );
+    let kinds = ["sa0", "sa1", "tf-up", "tf-down", "sof", "drf", "puf"];
+    for test in ["march-c", "march-c+"] {
+        for (width, bit) in [(1, 0), (8, 7)] {
+            let words = 32;
+            let (w, wd) = (words.to_string(), width.to_string());
+            // Each configuration must see both verdicts.
+            let mut seen = [false; 2];
+            for kind in kinds {
+                for word in [0, 1, 13, words - 1] {
+                    let fault = format!("{kind}@{word}.{bit}");
+                    let reply = ask(
+                        addr,
+                        &format!(
+                            r#"{{"kind":"detects","test":"{test}","words":{words},"width":{width},"fault":"{fault}"}}"#
+                        ),
+                    );
+                    let detected =
+                        reply.get("detected").and_then(Json::as_bool).expect("verdict");
+                    let offline = cli(&[
+                        "run", test, "--words", &w, "--width", &wd, "--fault", &fault,
+                    ]);
+                    assert_eq!(
+                        detected,
+                        offline.contains("FAIL"),
+                        "service and offline run disagree on {fault} ({test}, \
+                         {words}x{width}):\n{offline}"
+                    );
+                    seen[usize::from(detected)] = true;
+                }
+            }
+            assert_eq!(seen, [true, true], "{test} on {words}x{width}: both verdicts");
+        }
     }
     server.shutdown();
     let _ = server.join();

@@ -257,10 +257,14 @@ pub fn evaluate_coverage_trace(
 pub enum FaultRoute {
     /// Lane-packed bit-parallel batch (shared canonical program).
     Packed,
-    /// Sliced differential replay over the fault's support words (or the
-    /// two-word decoder replay for address-decoder faults).
+    /// A decoder fault, decided by the packed plan's two-word replay of
+    /// the pair of words it wires together. The name is kept from the
+    /// retired sliced engine, whose decoder replay this was.
     Sliced,
-    /// Full stream replay on a scratch array.
+    /// Full stream replay on a scratch array: every fault under the full
+    /// engine, and under the packed one a hand-made fault with neither a
+    /// lane form nor a decoder pair (an NPSF neighborhood that reuses a
+    /// word).
     Full,
 }
 
@@ -269,11 +273,10 @@ pub enum FaultRoute {
 /// engine's whole-run/subset throughput gap.
 #[must_use]
 pub fn fault_route(engine: SimEngine, fault: FaultKind) -> FaultRoute {
-    let sliceable = fault.decoder_words().is_some() || fault.support().is_some();
     match engine {
         SimEngine::Full => FaultRoute::Full,
         SimEngine::Packed if crate::packed::lane_packable(fault) => FaultRoute::Packed,
-        SimEngine::Packed if sliceable => FaultRoute::Sliced,
+        SimEngine::Packed if fault.decoder_words().is_some() => FaultRoute::Sliced,
         SimEngine::Packed => FaultRoute::Full,
     }
 }
@@ -285,9 +288,10 @@ pub struct RoutingRow {
     pub class: FaultClass,
     /// Faults taking the lane-packed batch path.
     pub packed: usize,
-    /// Faults taking the sliced replay path.
+    /// Decoder faults, decided by the packed plan's two-word replay
+    /// ([`FaultRoute::Sliced`]).
     pub sliced: usize,
-    /// Faults taking the full-replay fallback.
+    /// Faults taking full replay ([`FaultRoute::Full`]).
     pub full: usize,
 }
 
@@ -446,7 +450,7 @@ mod tests {
                 }
                 SimEngine::Packed => {
                     // Every address-local class vectorizes now; only the
-                    // decoder classes ride the sliced two-word replay.
+                    // decoder classes ride the plan's two-word replay.
                     let decoder = b.row(FaultClass::AddressDecoder).unwrap();
                     assert_eq!(decoder.packed, 0);
                     assert_eq!(decoder.sliced, decoder.total());

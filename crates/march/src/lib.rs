@@ -15,8 +15,8 @@
 //!   simulate faults lane-packed and bit-parallel ([`SimEngine::Packed`],
 //!   the default), batching up to 256 congruent faults into `[u64; 4]`
 //!   lane blocks per trace replay, or one by one over the whole stream
-//!   ([`SimEngine::Full`], the oracle); single faults replay only the
-//!   accesses touching their support set ([`CompiledTrace::detect`]),
+//!   ([`SimEngine::Full`], the oracle); a single fault is a one-fault
+//!   packed run ([`CompiledTrace::detect`]),
 //! - [`evaluate_coverage`]: per-fault-class coverage by serial fault
 //!   simulation,
 //! - [`run_transparent`]: Nicolaidis-style content-preserving testing.
@@ -50,7 +50,6 @@ mod op;
 mod packed;
 mod runner;
 mod score;
-mod sliced;
 pub mod synth;
 mod test;
 mod trace;

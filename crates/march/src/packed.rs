@@ -1,10 +1,10 @@
 //! Lane-packed bit-parallel fault simulation over a [`CompiledTrace`].
 //!
-//! The sliced replay ([`crate::sliced`], the per-fault path) reduces
-//! per-fault work to the accesses touching the fault's support set, but it
-//! still replays those accesses once *per fault*. This module goes one
-//! step further by packing up to [`LANES`] faults into the bit lanes of
-//! `[u64; 4]` state vectors and replaying a shared access program **once
+//! This is the one fast engine: every packed call, from a whole coverage
+//! universe to the single fault of [`CompiledTrace::detect`], goes through
+//! a [`UniversePlan`], and full replay ([`CompiledTrace::detect_full`]) is
+//! the oracle. The plan packs up to [`LANES`] faults into the bit lanes of
+//! `[u64; 4]` state vectors and replays a shared access program **once
 //! per batch** with branch-free bitwise lane updates (the classic
 //! bit-parallel single-fault propagation trick, applied across faults
 //! instead of across patterns).
@@ -17,8 +17,11 @@
 //! fixed-shape five-cell NPSF neighborhoods (neighborhood activation is
 //! reconstructed from the golden neighbor values at build time, so the
 //! lane update is a compile-time branch). Decoder faults have no lane form:
-//! they take the sliced two-word decoder replay, once per fault on a
-//! general trace and once per verdict key on an address-uniform one.
+//! a two-word replay of the pair they wire together decides them
+//! ([`detect_decoder`]), once per fault on a general trace and once per
+//! verdict key on an address-uniform one. It works on whole words, so one
+//! replay decides every bit column at once. Hand-made NPSF neighborhoods
+//! that reuse a word have neither form and replay in full.
 //!
 //! # Lane encoding
 //!
@@ -64,7 +67,7 @@
 //! a retention rank group or a decoder verdict group — so a run costs
 //! about its distinct programs, whatever the universe size or word count.
 //! Reports stay bit-identical to [`SimEngine::Full`](crate::SimEngine::Full)
-//! — the equivalence the `sliced_equivalence` proptest suite, the
+//! — the equivalence the `packed_equivalence` proptest suite, the
 //! `engine_corpus` regression corpus and this module's random-march
 //! property test pin.
 
@@ -74,10 +77,9 @@ use std::collections::HashMap;
 use std::ops::{BitAnd, BitOr, BitOrAssign, BitXor, Not};
 use std::sync::OnceLock;
 
-use mbist_mem::{CellId, FaultKind};
+use mbist_mem::{CellId, FaultKind, MemoryArray};
 
 use crate::cancel::{CancelToken, CANCEL_CHECK_STRIDE};
-use crate::sliced::{detect_sliced_with, SlicedScratch};
 use crate::trace::{CompiledTrace, FnvBuild, TraceOp, TraceOpKind};
 
 /// `u64` blocks per lane vector.
@@ -290,17 +292,16 @@ struct LaneSpec {
 }
 
 /// Whether the packed engine simulates `fault` in a bit lane, as opposed
-/// to the per-fault sliced replay — the exact [`UniversePlan`]
-/// eligibility rule, and the basis of the routing breakdown in
-/// [`crate::coverage`]. Either way the fault reads only its own support
-/// words or decoder word pair ([`push_replay_words`]).
+/// to the plan's per-fault replays (the two-word decoder replay, or full
+/// replay) — the exact [`UniversePlan`] eligibility rule, and the basis of
+/// the routing breakdown in [`crate::coverage`].
 pub(crate) fn lane_packable(fault: FaultKind) -> bool {
     lane_spec(fault).is_some()
 }
 
-/// Lowers a fault to lane form, or `None` when it must take the per-fault
-/// fallback (decoder faults, and hand-made NPSF neighborhoods whose five
-/// support cells do not land in five distinct words).
+/// Lowers a fault to lane form, or `None` when it has none (decoder faults,
+/// and hand-made NPSF neighborhoods whose five support cells do not land in
+/// five distinct words).
 fn lane_spec(fault: FaultKind) -> Option<LaneSpec> {
     let blank = |class, vic, agg| LaneSpec {
         class,
@@ -396,18 +397,6 @@ fn lane_spec(fault: FaultKind) -> Option<LaneSpec> {
             })
         }
         _ => None,
-    }
-}
-
-/// Appends to `words` the words the replay of `fault` reads: the words of
-/// its support cells, or its decoder word pair. Every fault kind has one
-/// or the other, so a [`UniversePlan`] can always declare the words its
-/// traces must carry.
-fn push_replay_words(fault: FaultKind, words: &mut Vec<u64>) {
-    match (fault.support(), fault.decoder_words()) {
-        (Some(support), _) => words.extend(support.cells().iter().map(|c| c.word)),
-        (None, Some((a, b))) => words.extend([a, b]),
-        (None, None) => unreachable!("{fault} has neither support cells nor decoder words"),
     }
 }
 
@@ -799,11 +788,10 @@ fn canonicalize(program: &mut [SigOp]) -> bool {
 /// Executes one batch: a single replay of the shared canonical program
 /// with branch-free per-lane updates, returning the sticky detected lane
 /// vector. Each lane update is the exact projection of the corresponding
-/// single-fault path in `mbist_mem::array` (and [`crate::sliced`]) onto
-/// the fault's support bits, in canonical space — the lane's real state is
-/// the canonical state XOR its flip bit, and the XOR cancels out of every
-/// detection comparison. `latch` is scratch for the per-port stuck-open
-/// sense latches.
+/// single-fault path in `mbist_mem::array` onto the fault's support bits,
+/// in canonical space — the lane's real state is the canonical state XOR
+/// its flip bit, and the XOR cancels out of every detection comparison.
+/// `latch` is scratch for the per-port stuck-open sense latches.
 fn run_batch(
     program: &[SigOp],
     batch: &LaneMasks,
@@ -1319,7 +1307,76 @@ fn decoder_rep((multi, wired_and, lower_first): (bool, bool, bool)) -> FaultKind
     }
 }
 
-/// Decoder faults sharing one verdict key: one sliced replay of the
+/// Two-word differential replay of an address-decoder fault. An
+/// `AddressMap`/`AddressMulti` deviation is confined to the two words the
+/// fault wires together — every other access replays identically to the
+/// golden trace — so walking the merged op lists of those two words with
+/// the remap / multi-access semantics of `mbist_mem::array` (remap first,
+/// then multi expansion on the mapped address; reads combine wired-AND/OR)
+/// decides detection exactly. A decoder fault acts on every bit column
+/// alike, and the replay's word operations decide all of them at once.
+fn detect_decoder(trace: &CompiledTrace, fault: FaultKind) -> bool {
+    let (a, b) = fault.decoder_words().expect("decoder fault");
+    // A fault-free miscompare at any other word replays identically under
+    // the fault and decides detection on its own.
+    if trace.golden_miscompares().iter().any(|&(_, w)| w != a && w != b) {
+        return true;
+    }
+    let (ops_a, ops_b) = (trace.ops_for_word(a), trace.ops_for_word(b));
+    // Physical values of the two words (power-up 0). For `AddressMap`,
+    // word `a` (= `from`) is never physically accessed — reads and writes
+    // of either address land on `b` (= `to`) — so only `val_b` matters.
+    let (mut val_a, mut val_b) = (0u64, 0u64);
+    let (mut i, mut j) = (0, 0);
+    while i < ops_a.len() || j < ops_b.len() {
+        let at_a = j >= ops_b.len() || (i < ops_a.len() && ops_a[i].step < ops_b[j].step);
+        let op = if at_a { &ops_a[i] } else { &ops_b[j] };
+        if at_a {
+            i += 1;
+        } else {
+            j += 1;
+        }
+        match op.kind {
+            TraceOpKind::Write(data) => match fault {
+                FaultKind::AddressMap { .. } => val_b = data,
+                FaultKind::AddressMulti { .. } => {
+                    // A write to `addr` fans out to the extra word too; a
+                    // write to `extra` is direct.
+                    if at_a {
+                        val_a = data;
+                    }
+                    val_b = data;
+                }
+                _ => unreachable!("decoder replay handles decoder faults only"),
+            },
+            TraceOpKind::Read { expected, .. } => {
+                let observed = match fault {
+                    FaultKind::AddressMap { .. } => val_b,
+                    FaultKind::AddressMulti { wired_and, .. } => {
+                        if at_a {
+                            // Both word lines fire: the bit lines resolve
+                            // wired-AND (or wired-OR).
+                            if wired_and {
+                                val_a & val_b
+                            } else {
+                                val_a | val_b
+                            }
+                        } else {
+                            val_b
+                        }
+                    }
+                    _ => unreachable!("decoder replay handles decoder faults only"),
+                };
+                if expected.is_some_and(|e| e != observed) {
+                    return true;
+                }
+            }
+        }
+    }
+    false
+}
+
+/// Decoder faults sharing one verdict key: one two-word replay of the
 /// representative ([`decoder_rep`]) decides them all.
 struct VerdictGroup {
     rep: FaultKind,
@@ -1357,8 +1414,7 @@ impl<'a> From<&'a CompiledTrace> for SupportTrace<'a> {
 
 /// The buffers a [`UniversePlan`] reuses from one run to the next: the
 /// program store with its build buffer, the general path's open batches,
-/// the rank-interval scratch, and the sense-latch scratch of the lane and
-/// sliced replays.
+/// the rank-interval scratch, and the lanes' sense-latch scratch.
 #[derive(Default)]
 pub(crate) struct PlanScratch {
     programs: Programs,
@@ -1370,7 +1426,6 @@ pub(crate) struct PlanScratch {
     intervals: Vec<(u64, u64)>,
     pending: Vec<(u64, u64, usize, Option<usize>)>,
     latch: Vec<Lanes>,
-    sliced: SlicedScratch,
 }
 
 /// Where a plan run delivers its verdicts: a count, plus one flag per
@@ -1473,12 +1528,16 @@ impl Run<'_, '_> {
         false
     }
 
-    /// The sliced replay of `rep`, a fault with no lane form, credited to
-    /// every fault in `faults`; returns whether the cap is reached (the
-    /// caller polls the token).
+    /// The verdict of `rep`, a fault with no lane form, credited to every
+    /// fault in `faults`: the two-word replay for a decoder fault, a full
+    /// replay on a fresh array otherwise. Returns whether the cap is
+    /// reached (the caller polls the token).
     fn replay(&mut self, rep: FaultKind, faults: &[u32]) -> bool {
-        let detected = detect_sliced_with(self.trace, rep, &mut self.scratch.sliced)
-            .expect("every fault has support cells or decoder words");
+        let detected = if rep.decoder_words().is_some() {
+            detect_decoder(self.trace, rep)
+        } else {
+            self.trace.detect_full(rep, &mut MemoryArray::new(self.trace.geometry()))
+        };
         self.verdicts.credit(detected, faults)
     }
 
@@ -1564,32 +1623,36 @@ enum Path {
 ///     intervals of constant decay verdicts, read off the lowest and
 ///     highest words' times, and builds one program per interval.
 ///   - *Verdict groups.* Decoder faults group by kind, wired polarity and,
-///     for multi-access faults, word order ([`decoder_key`]); one sliced
-///     replay of a representative on words 0 and 1 ([`decoder_rep`])
-///     decides each group.
-///   - *Sliced replay.* The other faults with no lane form (hand-made NPSF
-///     neighborhoods that reuse a word) replay one by one.
+///     for multi-access faults, word order ([`decoder_key`]); one two-word
+///     replay of a representative on words 0 and 1 ([`decoder_rep`],
+///     [`detect_decoder`]) decides each group.
+///   - *Full replays.* Faults with neither a lane form nor a decoder pair
+///     (hand-made NPSF neighborhoods that reuse a word; generated NPSF
+///     always sit on five distinct words) replay one by one over the whole
+///     step stream ([`CompiledTrace::detect_full`]).
 /// - **General path**, for any other complete trace of the geometry
 ///   (hand-made streams, dirty marches, one- and two-word memories, and
 ///   fractional pauses when retention faults are planned): each lane
 ///   fault's program is built and resolved in universe order, its lane is
 ///   pre-detected when a golden miscompare lands outside its victim word,
-///   and faults with no lane form take the sliced replay.
+///   each decoder fault takes the two-word replay of its own pair, and
+///   faults with neither form replay in full.
 ///
 /// The uniform path reads only the support words of each route group's
-/// representative, each verdict group's representative and each sliced
-/// fault, and the lowest and highest words for rank groups
-/// ([`Self::support`]): at most six words on a generated universe, and
-/// never the step stream. So search candidates and coverage runs compile
-/// only those words ([`TraceArena::compile_for`]). Per-lane updates never
-/// depend on batch composition, so both paths return the full replay's
-/// verdicts.
+/// representative and each verdict group's representative, and the lowest
+/// and highest words for rank groups ([`Self::support`]): at most six
+/// words on a generated universe. It never reads the step stream unless
+/// the plan holds a full-replay fault. So search candidates and coverage
+/// runs compile only those words ([`TraceArena::compile_for`]), and a plan
+/// with a full-replay fault declines such a restricted compile. Per-lane
+/// updates never depend on batch composition, so both paths return the
+/// full replay's verdicts.
 ///
 /// [`TraceArena::compile_for`]: crate::trace::TraceArena::compile_for
 pub(crate) struct UniversePlan<'u> {
     geometry: mbist_mem::MemGeometry,
     /// The planned faults — borrowed by a one-shot run, owned by a search
-    /// oracle: the general path lowers them one by one, and the sliced
+    /// oracle: the general path lowers them one by one, and the full
     /// replays read them by index.
     universe: Cow<'u, [FaultKind]>,
     groups: Vec<PlanGroup>,
@@ -1598,8 +1661,9 @@ pub(crate) struct UniversePlan<'u> {
     ranked: Vec<RankGroup>,
     /// Decoder faults by verdict key.
     decoders: Vec<VerdictGroup>,
-    /// Universe indices of the other faults with no lane form.
-    sliced: Vec<u32>,
+    /// Universe indices of the faults with neither a lane form nor a
+    /// decoder pair, which replay in full.
+    full: Vec<u32>,
     /// The words the uniform path reads, computed on first use
     /// ([`Self::support`]).
     support: OnceLock<Vec<u64>>,
@@ -1625,7 +1689,7 @@ impl<'u> UniversePlan<'u> {
         // Retention faults as (deadline, bit, word, universe index, decays
         // to 1).
         let mut retention = Vec::new();
-        let mut sliced = Vec::new();
+        let mut full = Vec::new();
         for (index, &fault) in universe.iter().enumerate() {
             let index = u32::try_from(index).expect("universe index fits u32");
             let Some(spec) = lane_spec(fault) else {
@@ -1638,7 +1702,7 @@ impl<'u> UniversePlan<'u> {
                         });
                         decoders[gi].faults.push(index);
                     }
-                    None => sliced.push(index),
+                    None => full.push(index),
                 }
                 continue;
             };
@@ -1684,7 +1748,7 @@ impl<'u> UniversePlan<'u> {
             })
             .collect();
         let support = OnceLock::new();
-        Self { geometry, universe, groups, ranked, decoders, sliced, support }
+        Self { geometry, universe, groups, ranked, decoders, full, support }
     }
 
     /// The planned faults, in universe order.
@@ -1695,15 +1759,15 @@ impl<'u> UniversePlan<'u> {
     /// The support words, in address order, a restricted [`SupportTrace`]
     /// for this plan must cover: the words of each route group's canonical
     /// representative (the group's program is built from it alone), the
-    /// word pair of each verdict group's representative, the support words
-    /// or decoder word pair of each sliced fault, and — with rank groups —
-    /// the lowest and highest words, whose times and content every
+    /// word pair of each verdict group's representative, and — with rank
+    /// groups — the lowest and highest words, whose times and content every
     /// interval program is built from. The representatives sit on the
-    /// lowest words ([`relocated`], [`decoder_rep`]), so on a generated
-    /// universe the support is at most `{0..=4, words − 1}`, whatever the
-    /// universe size or word count; only hand-made NPSF faults that reuse a
-    /// word (the sliced ones) add their own. Computed once, on first use —
-    /// one-shot runs on a complete trace never need it.
+    /// lowest words ([`relocated`], [`decoder_rep`]), so the support is at
+    /// most `{0..=4, words − 1}`, whatever the universe size or word count.
+    /// Full-replay faults declare no words: they read the step stream, so
+    /// their plan declines every restricted trace ([`Self::accepts`]).
+    /// Computed once, on first use — one-shot runs on a complete trace
+    /// never need it.
     pub(crate) fn support(&self) -> &[u64] {
         self.support.get_or_init(|| {
             let mut words = Vec::new();
@@ -1713,9 +1777,9 @@ impl<'u> UniversePlan<'u> {
                 words.extend(rep.agg.map(|a| a.word));
                 words.extend(rep.npsf.iter().flat_map(|shape| shape.cells.map(|c| c.word)));
             }
-            let sliced = self.sliced.iter().map(|&index| self.universe[index as usize]);
-            for fault in self.decoders.iter().map(|group| group.rep).chain(sliced) {
-                push_replay_words(fault, &mut words);
+            for group in &self.decoders {
+                let (a, b) = group.rep.decoder_words().expect("decoder representative");
+                words.extend([a, b]);
             }
             if !self.ranked.is_empty() {
                 words.extend([0, self.geometry.words() - 1]);
@@ -1728,17 +1792,20 @@ impl<'u> UniversePlan<'u> {
 
     /// Whether a run on `trace` is possible ([`Self::count_detected`]
     /// returns a count): always for a complete trace of the plan's
-    /// geometry, and for a restricted one when the certificate holds.
+    /// geometry, and for a restricted one when the certificate holds and
+    /// no fault replays in full.
     pub(crate) fn accepts(&self, trace: SupportTrace<'_>) -> bool {
         self.path(&trace).is_some()
     }
 
     /// The path a run on `trace` takes, or `None` when the plan declines
-    /// it: a trace of another geometry, or a support-restricted trace the
-    /// certificate does not hold for.
+    /// it: a trace of another geometry, a support-restricted trace while
+    /// the plan holds a full-replay fault (which reads the step stream), or
+    /// a support-restricted trace the certificate does not hold for.
     fn path(&self, trace: &SupportTrace<'_>) -> Option<Path> {
         let t = trace.trace;
-        if t.geometry() != self.geometry {
+        let reads_steps = !self.full.is_empty();
+        if t.geometry() != self.geometry || (reads_steps && !trace.complete) {
             return None;
         }
         if t.uniform_interleave()
@@ -1849,7 +1916,7 @@ impl<'u> UniversePlan<'u> {
                 return true;
             }
         }
-        self.sliced.iter().enumerate().any(|(nth, &index)| {
+        self.full.iter().enumerate().any(|(nth, &index)| {
             poll(nth, &run) || run.replay(self.universe[index as usize], &[index])
         })
     }
@@ -2000,10 +2067,33 @@ mod tests {
             assert_eq!(universe.len() as u64, words * 2);
             let plan = UniversePlan::new(g, universe);
             assert!(plan.ranked.is_empty() && plan.decoders.is_empty());
-            assert!(plan.sliced.is_empty());
+            assert!(plan.full.is_empty());
             let batch_count: usize =
                 plan.groups.iter().map(|group| group.slots.len()).sum();
             assert_eq!(batch_count, expect_batches, "{words} words");
+        }
+    }
+
+    #[test]
+    fn decoder_faults_take_the_two_word_replay() {
+        // Decoder faults have no lane form, but their deviations are
+        // confined to the two wired words. The two-word replay of a fault's
+        // own pair (the general path's verdict) and the one-fault plan
+        // (which on a march replays a representative on words 0 and 1) must
+        // both agree with the full array bit for bit.
+        for g in [MemGeometry::bit_oriented(8), MemGeometry::word_oriented(8, 4)] {
+            for test in [library::march_c(), library::mats_plus()] {
+                let steps = expand_with(&test, &g, &ExpandOptions::for_geometry(&g));
+                let trace = CompiledTrace::from_steps(g, &steps);
+                let mut scratch = MemoryArray::new(g);
+                for fault in
+                    class_universe(&g, FaultClass::AddressDecoder, &UniverseSpec::default())
+                {
+                    let full = trace.detect_full(fault, &mut scratch);
+                    assert_eq!(detect_decoder(&trace, fault), full, "{fault} ({g})");
+                    assert_eq!(trace.detect(fault), full, "detect: {fault} ({g})");
+                }
+            }
         }
     }
 
@@ -2101,20 +2191,11 @@ mod tests {
         }
     }
 
-    /// Every fault's replay reads a bounded set of words — its support
-    /// cells or its decoder word pair — which is what lets a plan always
-    /// declare its support set.
-    fn assert_bounded_support(fault: FaultKind) {
-        assert!(
-            fault.support().is_some() || fault.decoder_words().is_some(),
-            "{fault} has neither support cells nor decoder words"
-        );
-    }
-
     #[test]
     fn only_decoder_faults_take_the_fallback() {
         // Every address-local class lane-packs now; decoder faults are the
-        // single per-fault route left.
+        // one per-fault route a generated universe takes, and each names
+        // the word pair its two-word replay reads.
         for class in FaultClass::ALL {
             let g = MemGeometry::bit_oriented(16);
             let universe = class_universe(&g, class, &UniverseSpec::default());
@@ -2126,15 +2207,24 @@ mod tests {
                     expect,
                     "{fault} routed to the wrong path"
                 );
-                assert_bounded_support(fault);
+                assert_eq!(fault.decoder_words().is_none(), expect, "{fault}");
             }
         }
-        // Hand-made NPSF neighborhoods that reuse a word do not lane-pack
-        // (the five support words must be pairwise distinct) and fall back
-        // per fault.
+        // A hand-made NPSF neighborhood that reuses a word has neither form
+        // (the five support words must be pairwise distinct), so it replays
+        // in full: it declares no support words, its plan declines a
+        // restricted compile, and the fallback compiles complete.
         let overlapping = overlapping_npsf();
-        assert!(!lane_packable(overlapping));
-        assert_bounded_support(overlapping);
+        assert!(!lane_packable(overlapping) && overlapping.decoder_words().is_none());
+        let g = MemGeometry::word_oriented(8, 4);
+        let opts = ExpandOptions::for_geometry(&g);
+        let plan = UniversePlan::new(g, vec![overlapping]);
+        assert!(plan.support().is_empty(), "a full replay declares no words");
+        let mut arena = crate::trace::TraceArena::new();
+        let test = library::march_c();
+        let part = arena.compile_support(&test, &g, &opts, slice::from_ref(&plan));
+        assert!(!plan.accepts(part), "a full replay reads the step stream");
+        assert!(arena.compile_for(&test, &g, &opts, slice::from_ref(&plan)).complete);
     }
 
     /// The caps every planned count is checked at, for `total` detections.
@@ -2228,6 +2318,30 @@ mod tests {
         assert_restricted_matches(&plan, (test, &opts), &mut arena, &oracle, what);
     }
 
+    /// The plan of `universe`, which holds a full-replay fault, against
+    /// `test`: it must decline the arena's support-restricted compile, and
+    /// on the complete compile [`TraceArena::compile_for`] falls back to it
+    /// must take the uniform path and match the full-replay oracle, capped
+    /// and uncapped.
+    ///
+    /// [`TraceArena::compile_for`]: crate::trace::TraceArena::compile_for
+    fn assert_plan_declines_restricted(
+        g: MemGeometry,
+        universe: &[FaultKind],
+        test: &crate::MarchTest,
+        what: &str,
+    ) {
+        let opts = ExpandOptions::for_geometry(&g);
+        let plan = UniversePlan::new(g, universe);
+        let mut arena = crate::trace::TraceArena::new();
+        let part = arena.compile_support(test, &g, &opts, slice::from_ref(&plan));
+        assert_eq!(plan.path(&part), None, "{what}: restricted compile accepted");
+        let trace = arena.compile_for(test, &g, &opts, slice::from_ref(&plan));
+        assert!(trace.complete, "{what}: compile_for must compile complete");
+        assert_eq!(plan.path(&trace), Some(Path::Uniform), "{what}: certificate");
+        assert_complete_matches(&plan, trace.trace, what);
+    }
+
     /// Decay schedules a default universe does not reach: pull-open faults
     /// with read budgets 1, 2 and 3 in one universe (a route key that
     /// dropped the budget would build them all alike), and retention
@@ -2254,21 +2368,18 @@ mod tests {
     fn universe_plan_matches_engine_counts_exactly() {
         use mbist_mem::subset_universe;
         // Every class, so every plan route — route groups, rank groups,
-        // verdict groups and the sliced replay (an overlapping NPSF where
-        // the width allows) — across bit- and word-oriented and
-        // two-port geometries, plus the decay schedules above. March C+ and
-        // C++ add the pauses and triple reads that drive retention
-        // deadlines, pull-open drains and stuck-open self-latches.
+        // verdict groups and full replays (an overlapping NPSF where the
+        // width allows) — across bit- and word-oriented and two-port
+        // geometries, plus the decay schedules above. March C+ and C++ add
+        // the pauses and triple reads that drive retention deadlines,
+        // pull-open drains and stuck-open self-latches.
         let spec = UniverseSpec::default();
         for g in [
             MemGeometry::bit_oriented(24),
             MemGeometry::word_oriented(8, 4),
             MemGeometry::new(12, 1, 2),
         ] {
-            let mut universe = subset_universe(&g, &FaultClass::ALL, &spec, 64);
-            if g.width() > 1 {
-                universe.push(overlapping_npsf());
-            }
+            let universe = subset_universe(&g, &FaultClass::ALL, &spec, 64);
             for test in [
                 library::mats(),
                 library::march_c(),
@@ -2278,6 +2389,12 @@ mod tests {
             ] {
                 let what = format!("{} on {g}", test.name());
                 assert_plan_matches(g, &universe, &test, &what);
+                if g.width() > 1 {
+                    let mut with_full = universe.clone();
+                    with_full.push(overlapping_npsf());
+                    let what = format!("{what}, overlapping NPSF");
+                    assert_plan_declines_restricted(g, &with_full, &test, &what);
+                }
                 let decay = decay_schedules(g, &test);
                 assert_plan_matches(g, &decay, &test, &format!("{what}, decay schedules"));
             }
@@ -2402,7 +2519,7 @@ mod tests {
         let universe = subset_universe(&g, &classes, &UniverseSpec::default(), 256);
         let plan = UniversePlan::new(g, universe);
         assert!(
-            plan.ranked.is_empty() && plan.decoders.is_empty() && plan.sliced.is_empty(),
+            plan.ranked.is_empty() && plan.decoders.is_empty() && plan.full.is_empty(),
             "all five classes are plan-routable"
         );
         assert!(
@@ -2417,7 +2534,7 @@ mod tests {
         let universe =
             subset_universe(&g, &FaultClass::ALL[..9], &UniverseSpec::default(), 256);
         let plan = UniversePlan::new(g, &universe);
-        assert!(plan.sliced.is_empty(), "no fault replays on its own");
+        assert!(plan.full.is_empty(), "no fault replays on its own");
         let lanes: usize =
             plan.groups.iter().flat_map(|group| &group.slots).map(|s| s.masks.lanes).sum();
         let ranked: usize = plan.ranked.iter().map(|group| group.faults.len()).sum();
@@ -2752,9 +2869,11 @@ mod tests {
                 usize::from(assert_coverage_matches_full(&test, g, spec, cap, &expand));
             if words >= 24 {
                 let saf = class_universe_sampled(&g, FaultClass::StuckAt, &spec, cap);
-                let lowest =
-                    saf.iter().flat_map(|f| f.support().expect("a cell").cells().to_vec());
-                assert!(lowest.map(|c| c.word).min() > Some(4), "cap {cap} on {g}");
+                let lowest = saf.iter().map(|f| match f {
+                    FaultKind::StuckAt { cell, .. } => cell.word,
+                    _ => unreachable!("a stuck-at universe"),
+                });
+                assert!(lowest.min() > Some(4), "cap {cap} on {g}");
                 relocated += 1;
             }
         }

@@ -130,12 +130,13 @@ pub fn run_steps_detect(mem: &mut MemoryArray, steps: &[TestStep]) -> bool {
 /// Whether `test` detects `fault` on a memory of the given geometry
 /// (serial fault simulation of a single fault).
 ///
-/// Routes through a [`CompiledTrace`](crate::trace::CompiledTrace): sliced
-/// differential replay for address-local faults, full replay otherwise —
-/// same flags as a direct [`run_steps_detect`] on a fresh single-fault
-/// array. Simulating many faults against one `(test, geometry)` pair is
-/// cheaper via an explicitly shared [`CompiledTrace`](crate::CompiledTrace)
-/// or [`evaluate_coverage`](crate::evaluate_coverage).
+/// Compiles the test once ([`CompiledTrace`](crate::trace::CompiledTrace))
+/// and decides the fault with a one-fault packed run
+/// ([`CompiledTrace::detect`](crate::CompiledTrace::detect)) — same flags
+/// as a direct [`run_steps_detect`] on a fresh single-fault array.
+/// Simulating many faults against one `(test, geometry)` pair is cheaper
+/// via an explicitly shared [`CompiledTrace`](crate::CompiledTrace) or
+/// [`evaluate_coverage`](crate::evaluate_coverage).
 ///
 /// # Errors
 ///

@@ -344,7 +344,7 @@ mod tests {
     }
 
     /// Every fault class but AF: the whole universe lane-packs, so the
-    /// plan's sliced replay stays idle.
+    /// plan's two-word decoder replay stays idle.
     fn packable() -> Vec<FaultClass> {
         FaultClass::ALL.into_iter().filter(|&c| c != FaultClass::AddressDecoder).collect()
     }
@@ -353,7 +353,7 @@ mod tests {
     fn batch_scores_equal_serial_reference_for_every_engine() {
         // Bit-oriented single-pass candidates, and word-oriented two-port
         // ones that compile one pass per port × background; universes with
-        // AF (whose decoder faults take the plan's sliced replay) and
+        // AF (whose decoder faults take the plan's two-word replay) and
         // without.
         let batch: Vec<MarchTest> = library::all();
         for g in [MemGeometry::bit_oriented(16), MemGeometry::new(8, 4, 2)] {

@@ -6,8 +6,8 @@
 //! engine ([`crate::packed`]) reads the per-word op lists, the golden
 //! miscompares and two certificates — `monoclass` and
 //! `uniform_interleave` — that route a fault to a shared access program in
-//! O(1); the per-fault path ([`crate::sliced`]) replays the op lists of a
-//! fault's support words; full replay ([`CompiledTrace::detect_full`]),
+//! O(1), for a whole universe or the single fault of
+//! [`CompiledTrace::detect`]; full replay ([`CompiledTrace::detect_full`]),
 //! the oracle, replays the step stream on a fault-injected memory array.
 //!
 //! One element-wise core compiles every march test: it walks the items
@@ -29,6 +29,7 @@
 //! the compiler is tested against.
 
 use std::borrow::Cow;
+use std::slice;
 
 use mbist_mem::{
     BusCycle, FaultKind, MemGeometry, MemoryArray, Operation, PortId, TestStep,
@@ -41,7 +42,6 @@ use crate::element::{MarchElement, MarchItem};
 use crate::expand::{cycle_count, expand_with, passes, step_count, ExpandOptions};
 use crate::packed::{PlanScratch, SupportTrace, UniversePlan};
 use crate::runner::run_steps_detect;
-use crate::sliced;
 use crate::test::MarchTest;
 
 /// Which fault-simulation engine a detection loop uses.
@@ -57,9 +57,9 @@ pub enum SimEngine {
     /// updates (see [`crate::packed`]). Every address-local class is
     /// vectorized — including stuck-open sense latches, retention decay
     /// (precomputed deadlines) and fixed-shape NPSF — and congruent faults
-    /// are batched across data backgrounds and ports; only decoder faults
-    /// take the per-fault path (the two-word decoder replay). Bit-for-bit
-    /// equivalent to [`SimEngine::Full`].
+    /// are batched across data backgrounds and ports; decoder faults take
+    /// the plan's two-word replay. Bit-for-bit equivalent to
+    /// [`SimEngine::Full`].
     #[default]
     Packed,
 }
@@ -875,34 +875,25 @@ impl CompiledTrace {
         &self.steps
     }
 
-    /// Whether the stream detects `fault`, through the per-fault path:
-    /// sliced replay when the fault is address-local or a decoder fault,
-    /// full replay on a fresh array otherwise.
+    /// Whether the stream detects `fault`: a one-fault [`UniversePlan`]
+    /// run on this trace, the scheduler every packed call goes through. On
+    /// an address-uniform march the plan builds the fault's program from a
+    /// representative relocated onto the lowest words, because a march's
+    /// verdict on a fault depends on the relative order of its cells, not
+    /// on their addresses; the plan's verdicts equal the full replay's
+    /// ([`Self::detect_full`]).
     ///
     /// # Panics
     ///
     /// Panics if the fault does not fit the trace geometry.
     #[must_use]
     pub fn detect(&self, fault: FaultKind) -> bool {
-        match self.detect_sliced(fault) {
-            Some(flag) => flag,
-            None => {
-                let mut scratch = MemoryArray::new(self.geometry);
-                self.detect_full(fault, &mut scratch)
-            }
-        }
-    }
-
-    /// Sliced differential detection, or `None` when the fault has no
-    /// address-local support set and only a full replay is sound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault does not fit the trace geometry.
-    #[must_use]
-    pub(crate) fn detect_sliced(&self, fault: FaultKind) -> Option<bool> {
         self.check_fault(fault);
-        sliced::detect_sliced(self, fault)
+        UniversePlan::new(self.geometry, slice::from_ref(&fault)).detect(
+            self,
+            &mut PlanScratch::default(),
+            &crate::cancel::CancelToken::none(),
+        )[0]
     }
 
     /// Rejects a fault that does not fit the trace geometry.
@@ -918,10 +909,11 @@ impl CompiledTrace {
     /// selected engine and returns one detection flag per fault in
     /// universe order.
     ///
-    /// [`SimEngine::Packed`] batches compatible faults into 256-lane
-    /// `[u64; 4]` blocks and replays the trace once per batch on the
-    /// calling thread, while decoder faults take the sliced two-word
-    /// replay (on a march, once per verdict key rather than per fault);
+    /// [`SimEngine::Packed`] plans the universe ([`UniversePlan`]),
+    /// batching compatible faults into 256-lane `[u64; 4]` blocks and
+    /// replaying the trace once per batch on the calling thread, while
+    /// decoder faults take the plan's two-word replay (on a march, once per
+    /// verdict key rather than per fault);
     /// [`SimEngine::Full`] fans its per-fault replays out across `jobs`
     /// workers. Worker count and engine only change wall-clock time, never
     /// the flags.
@@ -961,7 +953,7 @@ impl CompiledTrace {
 
     /// Full-replay detection on a caller-provided scratch array (reset,
     /// re-injected, replayed with early exit) — the oracle the packed
-    /// engine and the per-fault path are verified against.
+    /// engine, and with it [`Self::detect`], is verified against.
     ///
     /// # Panics
     ///
@@ -1240,7 +1232,9 @@ mod tests {
     use crate::library;
     use crate::op::MarchOp;
     use mbist_mem::rng::SplitMix64;
-    use mbist_mem::{BusCycle, CellId, DEFAULT_CYCLE_NS};
+    use mbist_mem::{
+        class_universe, BusCycle, CellId, FaultClass, UniverseSpec, DEFAULT_CYCLE_NS,
+    };
     use mbist_rtl::Bits;
 
     #[test]
@@ -1337,10 +1331,77 @@ mod tests {
         })];
         let trace = CompiledTrace::from_steps(g, &steps);
         assert_eq!(trace.golden_miscompares(), &[(0, 1)]);
-        // A dirty stream "detects" everything, sliced or full.
-        let f = FaultKind::StuckAt { cell: CellId::bit_oriented(0), value: false };
-        assert!(trace.detect(f));
-        assert_eq!(trace.detect_sliced(f), Some(true));
+        // A dirty stream "detects" everything, through the plan or in
+        // full: off the miscompare's word by pre-detection, on it by the
+        // walk, which replays the same failing read.
+        let mut scratch = MemoryArray::new(g);
+        for word in [0, 1] {
+            let f = FaultKind::StuckAt { cell: CellId::bit_oriented(word), value: false };
+            assert!(trace.detect(f), "{f}");
+            assert!(trace.detect_full(f, &mut scratch), "{f}");
+        }
+    }
+
+    /// Asserts `detect` (a one-fault plan) ≡ full replay for every fault of
+    /// every class universe of `g` against `steps`.
+    fn assert_detect_matches_full(g: MemGeometry, steps: &[TestStep], label: &str) {
+        let trace = CompiledTrace::from_steps(g, steps);
+        let spec = UniverseSpec::default();
+        let mut scratch = MemoryArray::new(g);
+        for class in FaultClass::ALL {
+            for fault in class_universe(&g, class, &spec) {
+                assert_eq!(
+                    trace.detect(fault),
+                    trace.detect_full(fault, &mut scratch),
+                    "{label}: detect disagrees with full replay on {fault}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn detect_matches_full_replay_bit_oriented() {
+        let g = MemGeometry::bit_oriented(16);
+        for test in
+            [library::mats(), library::march_c(), library::march_a(), library::march_b()]
+        {
+            let steps = expand_with(&test, &g, &ExpandOptions::for_geometry(&g));
+            assert_detect_matches_full(g, &steps, test.name());
+        }
+    }
+
+    #[test]
+    fn detect_matches_full_replay_on_timing_sensitive_tests() {
+        // March C+ carries retention pauses, March C++ triple reads — the
+        // retention and pull-open timing paths must agree exactly.
+        let g = MemGeometry::bit_oriented(16);
+        for test in [library::march_c_plus(), library::march_c_plus_plus()] {
+            let steps = expand_with(&test, &g, &ExpandOptions::for_geometry(&g));
+            assert_detect_matches_full(g, &steps, test.name());
+        }
+    }
+
+    #[test]
+    fn detect_matches_full_replay_word_oriented() {
+        // Word-oriented geometries exercise intra-word coupling
+        // sensitization and data backgrounds.
+        for g in [MemGeometry::word_oriented(8, 4), MemGeometry::word_oriented(6, 8)] {
+            for test in [library::march_c(), library::march_c_plus_plus()] {
+                let steps = expand_with(&test, &g, &ExpandOptions::for_geometry(&g));
+                assert_detect_matches_full(g, &steps, test.name());
+            }
+        }
+    }
+
+    #[test]
+    fn detect_matches_full_replay_multiport() {
+        // Multi-port streams exercise the per-port sense latches of
+        // stuck-open faults.
+        let g = MemGeometry::new(12, 1, 2);
+        for test in [library::march_c(), library::march_c_plus()] {
+            let steps = expand_with(&test, &g, &ExpandOptions::for_geometry(&g));
+            assert_detect_matches_full(g, &steps, test.name());
+        }
     }
 
     #[test]

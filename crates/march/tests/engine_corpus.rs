@@ -1,7 +1,7 @@
 //! Fixed-seed regression corpus for the engine equivalence (packed vs
-//! full, and the per-fault path vs full).
+//! full, on whole universes and on the one-fault plan of `detect`).
 //!
-//! The `sliced_equivalence` property suite explores random streams behind
+//! The `packed_equivalence` property suite explores random streams behind
 //! the `proptest` feature; this corpus replays a committed set of
 //! deterministic stream seeds on every tier-1 `cargo test` run, so an
 //! engine divergence found in CI reproduces exactly — the failure message
@@ -149,7 +149,7 @@ fn fixed_seed_corpus_agrees_three_ways() {
             assert_eq!(
                 trace.detect(fault),
                 flag,
-                "corpus seed {seed:#x} ({g}): per-fault detect disagrees on {fault}"
+                "corpus seed {seed:#x} ({g}): one-fault detect disagrees on {fault}"
             );
         }
     }
@@ -203,7 +203,7 @@ fn march_expansions_agree_on_sof_retention_npsf_universes() {
                 assert_eq!(
                     trace.detect(fault),
                     flag,
-                    "{} on {g}: per-fault detect disagrees on {fault}",
+                    "{} on {g}: one-fault detect disagrees on {fault}",
                     test.name()
                 );
             }

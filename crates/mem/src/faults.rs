@@ -143,58 +143,6 @@ pub enum FaultKind {
     },
 }
 
-/// Upper bound on the number of cells in any address-local [`SupportSet`]:
-/// the NPSF deleted neighborhood (base + 4 neighbors) is the largest
-/// classical fault model.
-pub const MAX_SUPPORT_CELLS: usize = 5;
-
-/// The address-local support set of a fault: every cell whose stored value
-/// can deviate from the fault-free trace, plus every cell whose state the
-/// fault's activation condition samples.
-///
-/// A single fault whose support set is known can be simulated by replaying
-/// only the operations that touch these cells (sliced differential fault
-/// simulation) — every other address behaves exactly as the fault-free
-/// golden trace. Faults whose behavior is *not* address-local
-/// (address-decoder faults, which remap or fan out accesses) have no
-/// support set; their deviations stay within the two words
-/// [`FaultKind::decoder_words`] names, so every fault kind has one bounded
-/// set of words or the other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupportSet {
-    cells: [CellId; MAX_SUPPORT_CELLS],
-    len: u8,
-    sense_coupled: bool,
-}
-
-impl SupportSet {
-    fn new(cells: &[CellId], sense_coupled: bool) -> Self {
-        debug_assert!(cells.len() <= MAX_SUPPORT_CELLS);
-        let mut buf = [CellId::default(); MAX_SUPPORT_CELLS];
-        buf[..cells.len()].copy_from_slice(cells);
-        Self {
-            cells: buf,
-            len: u8::try_from(cells.len()).expect("support fits u8"),
-            sense_coupled,
-        }
-    }
-
-    /// The support cells, in declaration order (words may repeat, e.g. an
-    /// intra-word coupling pair).
-    #[must_use]
-    pub fn cells(&self) -> &[CellId] {
-        &self.cells[..usize::from(self.len)]
-    }
-
-    /// Whether the observed value additionally depends on the port's
-    /// sense-amplifier latch (stuck-open faults): a sliced replay must also
-    /// supply the value of the previous read on the same port.
-    #[must_use]
-    pub fn is_sense_coupled(&self) -> bool {
-        self.sense_coupled
-    }
-}
-
 impl FaultKind {
     /// The broad class this fault belongs to.
     #[must_use]
@@ -216,50 +164,12 @@ impl FaultKind {
         }
     }
 
-    /// The address-local support set of the fault, or `None` when its
-    /// behavior is not address-local (address-decoder faults — their
-    /// deviations span the two wired words; see [`Self::decoder_words`]).
-    #[must_use]
-    pub fn support(&self) -> Option<SupportSet> {
-        match *self {
-            FaultKind::StuckAt { cell, .. }
-            | FaultKind::Transition { cell, .. }
-            | FaultKind::Retention { cell, .. }
-            | FaultKind::PullOpen { cell, .. } => Some(SupportSet::new(&[cell], false)),
-            // A stuck-open cell reads back the sense-amplifier latch, whose
-            // value comes from the previous read on the same port — at any
-            // address, so the replay needs that value supplied externally.
-            FaultKind::StuckOpen { cell } => Some(SupportSet::new(&[cell], true)),
-            FaultKind::CouplingInversion { aggressor, victim, .. }
-            | FaultKind::CouplingIdempotent { aggressor, victim, .. }
-            | FaultKind::CouplingState { aggressor, victim, .. } => {
-                Some(SupportSet::new(&[aggressor, victim], false))
-            }
-            FaultKind::AddressMap { .. } | FaultKind::AddressMulti { .. } => None,
-            FaultKind::NpsfStatic { base, neighborhood, .. } => {
-                let mut cells = [base; MAX_SUPPORT_CELLS];
-                for (slot, (cell, _)) in cells[1..].iter_mut().zip(neighborhood.iter()) {
-                    *slot = *cell;
-                }
-                Some(SupportSet::new(&cells, false))
-            }
-            FaultKind::NpsfActive { base, trigger, others, .. } => {
-                let mut cells = [base; MAX_SUPPORT_CELLS];
-                cells[1] = trigger;
-                for (slot, (cell, _)) in cells[2..].iter_mut().zip(others.iter()) {
-                    *slot = *cell;
-                }
-                Some(SupportSet::new(&cells, false))
-            }
-        }
-    }
-
     /// The two word addresses an address-decoder fault wires together
     /// (`from`/`to` for [`FaultKind::AddressMap`], `addr`/`extra` for
     /// [`FaultKind::AddressMulti`]), or `None` for address-local faults.
     /// A decoder fault's deviations are confined to this pair — every
     /// other access replays identically to the fault-free trace — which is
-    /// what differential simulators key their two-word decoder replay on.
+    /// what a differential simulator keys its two-word decoder replay on.
     #[must_use]
     pub fn decoder_words(&self) -> Option<(u64, u64)> {
         match *self {
@@ -587,48 +497,6 @@ mod tests {
         assert!(f.to_string().contains("SAF1"));
         let t = FaultKind::Transition { cell: CellId::new(3, 0), rising: true };
         assert!(t.to_string().contains("TF"));
-    }
-
-    #[test]
-    fn support_sets_cover_every_named_cell() {
-        let a = CellId::new(1, 0);
-        let b = CellId::new(2, 1);
-        let pair = FaultKind::CouplingIdempotent {
-            aggressor: a,
-            victim: b,
-            rising: true,
-            forced: false,
-        };
-        let s = pair.support().unwrap();
-        assert_eq!(s.cells(), &[a, b]);
-        assert!(!s.is_sense_coupled());
-
-        let sof = FaultKind::StuckOpen { cell: a };
-        assert!(sof.support().unwrap().is_sense_coupled());
-
-        let npsf = FaultKind::NpsfActive {
-            base: a,
-            trigger: b,
-            rising: false,
-            others: [
-                (CellId::new(3, 0), true),
-                (CellId::new(4, 0), false),
-                (CellId::new(5, 0), true),
-            ],
-        };
-        let s = npsf.support().unwrap();
-        assert_eq!(s.cells().len(), MAX_SUPPORT_CELLS);
-        assert_eq!(s.cells()[0], a);
-        assert_eq!(s.cells()[1], b);
-        assert_eq!(s.cells()[4], CellId::new(5, 0));
-    }
-
-    #[test]
-    fn decoder_faults_have_no_support() {
-        assert!(FaultKind::AddressMap { from: 0, to: 1 }.support().is_none());
-        assert!(FaultKind::AddressMulti { addr: 0, extra: 1, wired_and: true }
-            .support()
-            .is_none());
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod universe;
 
 pub use array::{MemoryArray, DEFAULT_CYCLE_NS};
 pub use error::MemError;
-pub use faults::{FaultClass, FaultId, FaultKind, SupportSet, MAX_SUPPORT_CELLS};
+pub use faults::{FaultClass, FaultId, FaultKind};
 pub use geometry::{CellId, MemGeometry, PortId};
 pub use op::{BusCycle, Miscompare, Operation, TestStep};
 pub use scramble::{BitReverseScrambler, IdentityScrambler, Scrambler, XorScrambler};

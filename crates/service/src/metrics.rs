@@ -134,7 +134,10 @@ struct SearchCounters {
 }
 
 /// Per-class `[packed, sliced, full]` routing counters, rows in
-/// [`FaultClass::ALL`] order.
+/// [`FaultClass::ALL`] order: lane-packed faults, decoder faults (decided
+/// by the packed plan's two-word replay; the `sliced` name is kept from
+/// the retired sliced engine) and full replays
+/// ([`RoutingRow`](mbist_march::RoutingRow)).
 #[derive(Debug)]
 struct RoutingCounters([[u64; 3]; FaultClass::ALL.len()]);
 
@@ -455,8 +458,10 @@ fn search_json(search: &SearchCounters) -> Json {
 }
 
 /// The `status` view of the routing counters: per-class
-/// `{packed, sliced, full}` plus the batchable-faults ratio. The ratio is
-/// `null` until a coverage run records routing — never fabricated.
+/// `{packed, sliced, full}` (`sliced` counts decoder faults, which the
+/// packed plan's two-word replay decides) plus the batchable-faults ratio.
+/// The ratio is `null` until a coverage run records routing — never
+/// fabricated.
 fn routing_json(routing: &RoutingCounters) -> Json {
     let total: u64 = routing.0.iter().flatten().sum();
     let batchable: u64 = routing.0.iter().map(|row| row[0]).sum();

@@ -79,10 +79,16 @@ fn synth_search_deadline_returns_the_best_so_far_and_never_memoizes_it() {
     let addr = server.local_addr();
     let (mut stream, mut reader) = connect(addr);
 
-    // A geometry big enough that the search takes far longer than the
-    // deadline in a debug build even with the batched oracle: the search
-    // must stop at a batch boundary and surface its best-so-far candidate.
-    let line = r#"{"id":"s1","kind":"synth_search","universe":"saf,tf,cfin,cfid,cfst","words":262144,"budget":100000,"seed":1,"deadline_ms":300}"#;
+    // A search that outlasts the deadline in any build profile. The packed
+    // oracle compiles a few canonical words whatever the word count, so it
+    // converges on this universe within the deadline in a release build
+    // even at 262,144 words. The request therefore selects the full-replay
+    // oracle, which replays every fault over the whole stream: about 2.5 s
+    // to converge here in a release build, and longer in a debug one. 256
+    // words keep each replay short, so the run stops soon after the
+    // deadline in either profile. The search must stop at a batch boundary
+    // and surface its best-so-far candidate.
+    let line = r#"{"id":"s1","kind":"synth_search","universe":"saf,tf,cfin,cfid,cfst","words":256,"budget":100000,"seed":1,"engine":"full","deadline_ms":300}"#;
     let reply = ask(&mut stream, &mut reader, line);
     assert_eq!(error_class(&reply), "timeout", "{reply}");
     assert_eq!(reply.get("id").and_then(Json::as_str), Some("s1"), "id echoed");

@@ -22,6 +22,11 @@ echo "==> tier-1 tests (default features)"
 cargo test -q
 cargo test -q --workspace
 
+echo "==> service and CLI tests in release mode"
+# Timing premises (deadlines, timeouts) can hold in one build profile and
+# not the other, so these suites run optimized too.
+cargo test --release -q -p mbist-service -p mbist-cli
+
 echo "==> property suites (vendored proptest shim)"
 : "${PROPTEST_CASES:=32}"
 export PROPTEST_CASES
@@ -32,9 +37,9 @@ cargo test -q -p mbist-mem -p mbist-rtl -p mbist-logic -p mbist-core -p mbist-ma
 echo "==> parallel fault-simulation determinism regression"
 cargo test -q -p mbist-march --test parallel_determinism
 
-echo "==> cross-engine equivalence (packed vs full, per-fault path vs full)"
+echo "==> cross-engine equivalence (packed vs full, universes and one-fault detect)"
 cargo test -q -p mbist-march --test engine_corpus
-cargo test -q -p mbist-march --test sliced_equivalence --features proptest
+cargo test -q -p mbist-march --test packed_equivalence --features proptest
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --no-default-features -- -D warnings
